@@ -10,9 +10,9 @@ time instead of at test time:
 * lock discipline (``L201``-``L203``): ``# guarded-by:`` annotated
   attributes are only written under their lock, acquisitions respect
   the declared ``# lock-order:``, and locked writes are annotated;
-* wire contract (``W301``-``W303``): strict ``from_dict`` on every
-  request type, and ``ENDPOINTS`` / HTTP routes / ``docs/api.md``
-  agree.
+* wire contract (``W301``-``W303``): no request type bypasses the one
+  strict ``from_dict``, and the one endpoint table / service methods /
+  written-out routes / ``docs/api.md`` agree.
 
 See ``docs/analysis.md`` for the catalog, the annotation grammar, and
 the suppression syntax (``# lint: ok[RULE] reason``).

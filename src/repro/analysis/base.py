@@ -9,8 +9,8 @@ docs.  This module holds what every rule family needs:
 * :class:`Finding` — one reported violation, with a stable sort order.
 * :class:`SourceFile` — a parsed module plus its comment-derived
   metadata: suppressions (``# lint: ok[D103] reason``), ``guarded-by``
-  / ``holds`` / ``init-only`` / ``lock-order`` / ``wire: local-only``
-  annotations, all keyed by line number.
+  / ``holds`` / ``init-only`` / ``lock-order`` annotations, all keyed
+  by line number.
 * :class:`ClassInfo` — per-class annotation summary (guarded
   attributes, declared lock order, set/dict-typed attributes).
 * :func:`held_locks` — the lexical lock context of any statement,
@@ -36,7 +36,6 @@ _GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
 _HOLDS_RE = re.compile(r"#\s*holds:\s*([A-Za-z_]\w*)")
 _INIT_ONLY_RE = re.compile(r"#\s*init-only\b")
 _LOCK_ORDER_RE = re.compile(r"#\s*lock-order:\s*(.+)$")
-_LOCAL_ONLY_RE = re.compile(r"#\s*wire:\s*local-only\b")
 
 #: Method calls that mutate a collection in place.  A call to one of
 #: these on a guarded attribute counts as a write for lock purposes.
@@ -452,7 +451,3 @@ def _self_attribute(node: ast.AST) -> Optional[str]:
     ):
         return node.attr
     return None
-
-
-def has_local_only_marker(source: SourceFile, line: int) -> bool:
-    return bool(_LOCAL_ONLY_RE.search(source.line_comment(line)))

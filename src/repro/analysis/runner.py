@@ -1,8 +1,8 @@
 """Drives the rule families over files and over the repository.
 
 Per-file rules (determinism, locks) run on any ``.py`` file handed to
-them; the wire-contract rules are repo-level, pinned to the three
-files that each hold a copy of the endpoint surface.
+them; the wire-contract rules are repo-level: they read the one wire
+table in ``api/types.py`` and check the files derived from it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .base import Finding, SourceFile
 #: Directories never scanned, wherever they appear.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
-#: The repo-level wire-contract triple, relative to the repo root.
+#: The wire table and what is checked against it, relative to the repo root.
 WIRE_SERVICE = Path("src/repro/api/service.py")
 WIRE_TYPES = Path("src/repro/api/types.py")
 WIRE_SERVER = Path("src/repro/serve/server.py")
@@ -68,12 +68,15 @@ def wire_findings(root: Path) -> List[Finding]:
     service_path = root / WIRE_SERVICE
     server_path = root / WIRE_SERVER
     docs_path = root / WIRE_DOCS
-    if types_path.is_file():
-        findings.extend(wire.check_request_types(types_path))
+    if not types_path.is_file():
+        return findings
+    findings.extend(wire.check_request_types(types_path))
     if service_path.is_file() and server_path.is_file():
-        findings.extend(wire.check_endpoint_routes(service_path, server_path))
-    if server_path.is_file() and docs_path.is_file():
-        findings.extend(wire.check_docs_table(server_path, docs_path))
+        findings.extend(
+            wire.check_endpoint_routes(types_path, service_path, server_path)
+        )
+    if docs_path.is_file():
+        findings.extend(wire.check_docs_table(types_path, docs_path))
     return sorted(findings)
 
 
@@ -100,7 +103,7 @@ def analyze_repo(
     """Full analysis: per-file rules over ``src/repro`` plus wire checks.
 
     ``files`` restricts the per-file pass (the ``--changed`` mode); the
-    wire checks always run against the canonical triple because a
+    wire checks always run against the canonical files because a
     change to any one of them can break the agreement.
     """
 

@@ -67,6 +67,7 @@ from repro.api.errors import (
     UnknownEstimatorError,
 )
 from repro.api.types import (
+    ENDPOINT_TABLE,
     BatchRequest,
     BatchResponse,
     BoundsRequest,
@@ -169,21 +170,9 @@ class ReliabilityService:
     an in-flight request.
     """
 
-    #: Every counted endpoint, fixed so the counter dict never resizes.
-    #: ``repro lint`` (W302/W303) keeps this tuple, the HTTP routes in
-    #: ``serve/server.py``, and the docs/api.md endpoint table in sync;
-    #: ``# wire: local-only`` marks endpoints served by the CLI only.
-    ENDPOINTS = (
-        "estimate",
-        "batch",
-        "warm",
-        "update",
-        "shard_run",
-        "topk",
-        "bounds",
-        "study",  # wire: local-only
-        "recommend",
-    )
+    #: Every endpoint name, fixed so the counter dict never resizes —
+    #: read off the one endpoint table in :mod:`repro.api.types`.
+    ENDPOINTS = tuple(endpoint.name for endpoint in ENDPOINT_TABLE)
 
     # lock-order: _update_lock -> _prepare_lock -> _counts_lock -> _pool_lock
 
@@ -1137,13 +1126,19 @@ class ReliabilityService:
     ) -> List[Dict[str, object]]:
         """The ``limit`` hottest engine-served query keys, hottest first.
 
-        Ties break on the key itself so the ranking is deterministic.
+        Ties break on the key itself so the ranking is deterministic,
+        an unbounded query (``max_hops=None``) before the bounded ones.
         """
         self._check_positive(limit, "limit")
+
+        def rank(item):
+            (source, target, samples, max_hops, seed), count = item
+            # Hop bounds are positive, so 0 orders "no bound" first and
+            # the key stays comparable when None and int bounds tie.
+            return (-count, source, target, samples, max_hops or 0, seed)
+
         with self._counts_lock:
-            entries = sorted(
-                self._query_log.items(), key=lambda item: (-item[1], item[0])
-            )[: int(limit)]
+            entries = sorted(self._query_log.items(), key=rank)[: int(limit)]
         return [
             {
                 "source": source,

@@ -10,52 +10,242 @@ since the batch engine landed, and the HTTP endpoints return the same
 documents, so a client cannot tell (nor needs to know) which transport
 answered it.
 
-Parsing is strict: ``from_dict`` rejects unknown keys and wrong types
-with :class:`~repro.api.errors.InvalidQueryError`, so a malformed HTTP
-body becomes a structured 400 instead of a deep ``TypeError``.
+The field declarations below are the only statement of that format.
+:class:`Wire` derives everything else from them: ``to_dict`` emits the
+fields in declaration order, and the one strict ``from_dict`` reads the
+known keys, which of them are required, their defaults and their types
+off each field's annotation and default — rejecting unknown keys and
+wrong types with :class:`~repro.api.errors.InvalidQueryError`, so a
+malformed HTTP body becomes a structured 400 instead of a deep
+``TypeError``.  The few fields JSON cannot spell directly say so in
+``field(metadata=...)``: ``read`` / ``write`` name the field's own
+reader / writer and ``omit_none`` drops a ``None`` value from the
+document.  :data:`ENDPOINT_TABLE`, at the end of the module, is the
+matching single statement of the endpoint surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import functools
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.api.errors import InvalidQueryError
 
 #: A fully resolved workload entry: ``(source, target, samples, max_hops)``.
 ResolvedQuery = Tuple[int, int, int, Optional[int]]
 
+#: The JSON scalar kinds, and how an error message names each.
+_SCALARS = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "a boolean",
+}
 
-def _require_int(value: Any, name: str) -> int:
-    """Coerce a JSON scalar to int, rejecting floats/strings/None."""
-    if isinstance(value, bool) or not isinstance(value, int):
+#: A type that requires both names them together when either is missing.
+_ST_PAIR = ("source", "target")
+
+
+def _read_scalar(kind: type, value: Any, name: str) -> Any:
+    """Check one JSON scalar strictly: no numeric strings, no bool-as-int."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (
+        kind is not bool and isinstance(value, bool)
+    ):
         raise InvalidQueryError(
-            f"{name} must be an integer, got {value!r}"
+            f"{name} must be {_SCALARS[kind]}, got {value!r}"
         )
-    return int(value)
+    return kind(value)
 
 
-def _optional_int(value: Any, name: str) -> Optional[int]:
-    return None if value is None else _require_int(value, name)
-
-
-def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
-    if not isinstance(payload, Mapping):
+def _read_int_list(value: Any, name: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
         raise InvalidQueryError(
-            f"{what} must be a JSON object, got {type(payload).__name__}"
+            f"{name} must be a list of integers, got {value!r}"
         )
-    return payload
+    return tuple(
+        _read_scalar(int, item, f"{name}[{position}]")
+        for position, item in enumerate(value)
+    )
 
 
-def _reject_unknown_keys(
-    payload: Mapping[str, Any], known: Sequence[str], what: str
-) -> None:
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
+def _read_nonempty_string(value: Any, name: str) -> str:
+    if not isinstance(value, str) or not value:
         raise InvalidQueryError(
-            f"{what} does not accept key(s) {', '.join(map(repr, unknown))}; "
-            f"known keys: {', '.join(known)}"
+            f"{name} must be a non-empty string, got {value!r}"
         )
+    return value
+
+
+def _rows(**columns: type) -> Callable[[Any, str], Tuple[tuple, ...]]:
+    """A reader for a list of fixed-shape rows, e.g. ``[source, target]``."""
+    shape = f"[{', '.join(columns)}]"
+    width = len(columns)
+
+    def read(entries: Any, name: str) -> Tuple[tuple, ...]:
+        if not isinstance(entries, (list, tuple)):
+            raise InvalidQueryError(
+                f"{name} must be a list of {shape} entries, got {entries!r}"
+            )
+        rows = []
+        for position, entry in enumerate(entries):
+            context = f"{name} entry {position}"
+            if not isinstance(entry, (list, tuple)) or len(entry) != width:
+                raise InvalidQueryError(
+                    f"{context}: expected {shape}, got {entry!r}"
+                )
+            rows.append(
+                tuple(
+                    _read_scalar(kind, value, f"{context}: {column}")
+                    for (column, kind), value in zip(columns.items(), entry)
+                )
+            )
+        return tuple(rows)
+
+    return read
+
+
+def _bare(hint: Any) -> Any:
+    """``X`` for an ``Optional[X]`` annotation; any other one unchanged."""
+    if get_origin(hint) is Union:
+        return next(arg for arg in get_args(hint) if arg is not type(None))
+    return hint
+
+
+def _reader(hint: Any) -> Callable[[Any, str], Any]:
+    """The strict reader a field's annotation implies."""
+    bare = _bare(hint)
+    if bare == Tuple[int, ...]:
+        read = _read_int_list
+    else:
+        read = functools.partial(_read_scalar, bare)
+    if bare is hint:
+        return read
+    return lambda value, name: None if value is None else read(value, name)
+
+
+def _plain(value: Any) -> Any:
+    """A field value as JSON: nested wire types and tuples unfolded."""
+    if isinstance(value, Wire):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _writer(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """The writer a field's annotation implies; ``None`` = already JSON."""
+    bare = _bare(hint)
+    return None if bare in _SCALARS or get_origin(bare) is dict else _plain
+
+
+def _omitted() -> Any:
+    """An optional response field left out of the document while ``None``."""
+    return field(default=None, metadata={"omit_none": True})
+
+
+class _FieldSpec(NamedTuple):
+    name: str
+    default: Any  # ``MISSING`` marks a required key
+    read: Callable[[Any, str], Any]
+    write: Optional[Callable[[Any], Any]]  # ``None``: the value is JSON as is
+    omit_none: bool
+
+
+@functools.lru_cache(maxsize=None)
+def _field_specs(cls: type) -> Tuple[_FieldSpec, ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        _FieldSpec(
+            name=spec.name,
+            default=spec.default,
+            read=spec.metadata.get("read") or _reader(hints[spec.name]),
+            write=spec.metadata.get("write") or _writer(hints[spec.name]),
+            omit_none=spec.metadata.get("omit_none", False),
+        )
+        for spec in fields(cls)
+    )
+
+
+class Wire:
+    """Base of every wire dataclass: the one parser and the one serialiser.
+
+    ``what`` (a class keyword) is how error messages name the type —
+    ``class EstimateRequest(Wire, what="an estimate request")``.
+    """
+
+    _what: str
+
+    def __init_subclass__(cls, what: Optional[str] = None, **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        cls._what = what or cls.__name__
+
+    @classmethod
+    def from_dict(cls, payload: Any, context: Optional[str] = None):
+        """Parse a JSON object strictly into ``cls``.
+
+        Unknown keys, missing required keys and wrong types raise
+        :class:`InvalidQueryError`; absent optional keys take the
+        field's default.  ``context`` is given for a query object nested
+        in a workload (``"entry 3"``): it names the object in messages
+        and prefixes the field names.
+        """
+        what = context or cls._what
+        if not isinstance(payload, Mapping):
+            raise InvalidQueryError(
+                f"{what} must be a JSON object, got {type(payload).__name__}"
+            )
+        specs = _field_specs(cls)
+        known = [spec.name for spec in specs]
+        unknown = sorted(set(payload) - set(known))
+        if unknown:
+            raise InvalidQueryError(
+                f"{what} does not accept key(s) "
+                f"{', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(known)}"
+            )
+        required = [spec.name for spec in specs if spec.default is MISSING]
+        missing = next((name for name in required if name not in payload), None)
+        if missing is not None:
+            together = missing in _ST_PAIR and set(_ST_PAIR) <= set(required)
+            keys = " and ".join(map(repr, _ST_PAIR if together else (missing,)))
+            if context:
+                raise InvalidQueryError(
+                    f"{what}: query objects need {keys} keys, "
+                    f"got {dict(payload)!r}"
+                )
+            raise InvalidQueryError(f"{what} needs {keys}")
+        prefix = f"{context}: " if context else ""
+        return cls(
+            **{
+                spec.name: spec.read(payload[spec.name], prefix + spec.name)
+                for spec in specs
+                if spec.name in payload
+            }
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON document: the fields, in declaration order."""
+        document: Dict[str, Any] = {}
+        for name, _, _, write, omit_none in _field_specs(type(self)):
+            value = getattr(self, name)
+            if value is not None or not omit_none:
+                document[name] = value if write is None else write(value)
+        return document
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +254,7 @@ def _reject_unknown_keys(
 
 
 @dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(Wire):
     """One s-t query as submitted by a client.
 
     ``samples``/``max_hops`` left as ``None`` inherit the request-level
@@ -84,63 +274,30 @@ class QuerySpec:
         This is the single shared reader behind the ``--queries`` file
         format and the HTTP ``queries`` array, so both transports accept
         (and reject) exactly the same entries, with the same
-        ``entry {position}`` context in errors.
+        ``entry {position}`` context in errors.  Both forms read their
+        integers through the same strict reader.
         """
         context = f"entry {position}"
         if isinstance(entry, Mapping):
-            _reject_unknown_keys(
-                entry, ("source", "target", "samples", "max_hops"), context
-            )
-            if "source" not in entry or "target" not in entry:
-                raise InvalidQueryError(
-                    f"{context}: query objects need 'source' and 'target' "
-                    f"keys, got {dict(entry)!r}"
-                )
-            return cls(
-                source=_require_int(entry["source"], f"{context}: source"),
-                target=_require_int(entry["target"], f"{context}: target"),
-                samples=_optional_int(
-                    entry.get("samples"), f"{context}: samples"
-                ),
-                max_hops=_optional_int(
-                    entry.get("max_hops"), f"{context}: max_hops"
-                ),
-            )
-        if isinstance(entry, (list, tuple)):
+            return cls.from_dict(entry, context)
+        if isinstance(entry, (list, tuple)) and len(entry) in (2, 3, 4):
             parts = list(entry)
-            if len(parts) not in (2, 3, 4):
-                raise InvalidQueryError(
-                    f"{context}: expected [source, target(, samples"
-                    f"(, max_hops))] or a query object, got {entry!r}"
-                )
-            try:
-                head = [int(part) for part in parts[:3]]
+            if len(parts) == 4 and parts[3] is None:
                 # A trailing null mirrors the object form's
                 # "max_hops": null — an explicit "no bound".
-                tail = parts[3] if len(parts) == 4 else None
-                max_hops = None if tail is None else int(tail)
-            except (TypeError, ValueError):
+                parts.pop()
+            try:
+                return cls(
+                    *[_read_scalar(int, part, context) for part in parts]
+                )
+            except InvalidQueryError:
                 raise InvalidQueryError(
                     f"{context}: non-numeric value in {entry!r}"
                 ) from None
-            return cls(
-                source=head[0],
-                target=head[1],
-                samples=head[2] if len(head) >= 3 else None,
-                max_hops=max_hops,
-            )
         raise InvalidQueryError(
             f"{context}: expected [source, target(, samples(, max_hops))] "
             f"or a query object, got {entry!r}"
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "samples": self.samples,
-            "max_hops": self.max_hops,
-        }
 
 
 def coerce_query_specs(entries: Any, what: str = "queries") -> Tuple[QuerySpec, ...]:
@@ -158,13 +315,18 @@ def coerce_query_specs(entries: Any, what: str = "queries") -> Tuple[QuerySpec, 
     )
 
 
+def _queries() -> Any:
+    """A required workload field: entries in list or object form."""
+    return field(metadata={"read": coerce_query_specs})
+
+
 # ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class EstimateRequest:
+class EstimateRequest(Wire, what="an estimate request"):
     """One s-t reliability estimate through one named estimator."""
 
     source: int
@@ -173,41 +335,9 @@ class EstimateRequest:
     method: str = "mc"
     seed: Optional[int] = None  # None = the service's seed
 
-    _KEYS = ("source", "target", "samples", "method", "seed")
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "EstimateRequest":
-        payload = _require_mapping(payload, "an estimate request")
-        _reject_unknown_keys(payload, cls._KEYS, "an estimate request")
-        if "source" not in payload or "target" not in payload:
-            raise InvalidQueryError(
-                "an estimate request needs 'source' and 'target'"
-            )
-        method = payload.get("method", "mc")
-        if not isinstance(method, str):
-            raise InvalidQueryError(
-                f"method must be a string, got {method!r}"
-            )
-        return cls(
-            source=_require_int(payload["source"], "source"),
-            target=_require_int(payload["target"], "target"),
-            samples=_require_int(payload.get("samples", 1_000), "samples"),
-            method=method,
-            seed=_optional_int(payload.get("seed"), "seed"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "samples": self.samples,
-            "method": self.method,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(Wire, what="a batch request"):
     """A workload of s-t queries, answered in one engine pass.
 
     ``samples``/``max_hops`` are the workload-level defaults applied to
@@ -216,7 +346,7 @@ class BatchRequest:
     exactly cacheable.
     """
 
-    queries: Tuple[QuerySpec, ...]
+    queries: Tuple[QuerySpec, ...] = _queries()
     method: str = "mc"
     samples: int = 1_000
     seed: Optional[int] = None
@@ -226,60 +356,9 @@ class BatchRequest:
     kernels: Optional[str] = None
     sequential: bool = False
 
-    _KEYS = (
-        "queries", "method", "samples", "seed", "max_hops",
-        "chunk_size", "workers", "kernels", "sequential",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "BatchRequest":
-        payload = _require_mapping(payload, "a batch request")
-        _reject_unknown_keys(payload, cls._KEYS, "a batch request")
-        if "queries" not in payload:
-            raise InvalidQueryError("a batch request needs 'queries'")
-        method = payload.get("method", "mc")
-        if not isinstance(method, str):
-            raise InvalidQueryError(
-                f"method must be a string, got {method!r}"
-            )
-        sequential = payload.get("sequential", False)
-        if not isinstance(sequential, bool):
-            raise InvalidQueryError(
-                f"sequential must be a boolean, got {sequential!r}"
-            )
-        kernels = payload.get("kernels")
-        if kernels is not None and not isinstance(kernels, str):
-            raise InvalidQueryError(
-                f"kernels must be a string, got {kernels!r}"
-            )
-        return cls(
-            queries=coerce_query_specs(payload["queries"]),
-            method=method,
-            samples=_require_int(payload.get("samples", 1_000), "samples"),
-            seed=_optional_int(payload.get("seed"), "seed"),
-            max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
-            chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
-            workers=_optional_int(payload.get("workers"), "workers"),
-            kernels=kernels,
-            sequential=sequential,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queries": [query.to_dict() for query in self.queries],
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_hops": self.max_hops,
-            "chunk_size": self.chunk_size,
-            "workers": self.workers,
-            "kernels": self.kernels,
-            "sequential": self.sequential,
-        }
-
 
 @dataclass(frozen=True)
-class WarmRequest:
+class WarmRequest(Wire, what="a warm request"):
     """Speculatively evaluate popular (s, t) pairs into the result cache.
 
     Warming is method-agnostic on purpose: the engine's cache key is
@@ -287,35 +366,16 @@ class WarmRequest:
     it — so one warm pass serves every engine-backed method afterwards.
     """
 
-    queries: Tuple[QuerySpec, ...]
+    queries: Tuple[QuerySpec, ...] = _queries()
     samples: int = 1_000
     seed: Optional[int] = None
     max_hops: Optional[int] = None
     chunk_size: Optional[int] = None
     workers: Optional[int] = None
 
-    _KEYS = (
-        "queries", "samples", "seed", "max_hops", "chunk_size", "workers",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "WarmRequest":
-        payload = _require_mapping(payload, "a warm request")
-        _reject_unknown_keys(payload, cls._KEYS, "a warm request")
-        if "queries" not in payload:
-            raise InvalidQueryError("a warm request needs 'queries'")
-        return cls(
-            queries=coerce_query_specs(payload["queries"]),
-            samples=_require_int(payload.get("samples", 1_000), "samples"),
-            seed=_optional_int(payload.get("seed"), "seed"),
-            max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
-            chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
-            workers=_optional_int(payload.get("workers"), "workers"),
-        )
-
 
 @dataclass(frozen=True)
-class TopKRequest:
+class TopKRequest(Wire, what="a topk request"):
     """Top-k most reliable targets from one source (paper §2.3 origin)."""
 
     source: int
@@ -324,51 +384,17 @@ class TopKRequest:
     method: str = "bfs_sharing"
     seed: Optional[int] = None
 
-    _KEYS = ("source", "k", "samples", "method", "seed")
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "TopKRequest":
-        payload = _require_mapping(payload, "a topk request")
-        _reject_unknown_keys(payload, cls._KEYS, "a topk request")
-        if "source" not in payload:
-            raise InvalidQueryError("a topk request needs 'source'")
-        method = payload.get("method", "bfs_sharing")
-        if not isinstance(method, str):
-            raise InvalidQueryError(
-                f"method must be a string, got {method!r}"
-            )
-        return cls(
-            source=_require_int(payload["source"], "source"),
-            k=_require_int(payload.get("k", 10), "k"),
-            samples=_require_int(payload.get("samples", 500), "samples"),
-            method=method,
-            seed=_optional_int(payload.get("seed"), "seed"),
-        )
-
 
 @dataclass(frozen=True)
-class BoundsRequest:
+class BoundsRequest(Wire, what="a bounds request"):
     """Polynomial-time lower/upper reliability bracket for one pair."""
 
     source: int
     target: int
 
-    @classmethod
-    def from_dict(cls, payload: Any) -> "BoundsRequest":
-        payload = _require_mapping(payload, "a bounds request")
-        _reject_unknown_keys(payload, ("source", "target"), "a bounds request")
-        if "source" not in payload or "target" not in payload:
-            raise InvalidQueryError(
-                "a bounds request needs 'source' and 'target'"
-            )
-        return cls(
-            source=_require_int(payload["source"], "source"),
-            target=_require_int(payload["target"], "target"),
-        )
-
 
 @dataclass(frozen=True)
-class UpdateRequest:
+class UpdateRequest(Wire, what="an update request"):
     """A live mutation of the served graph (probabilities and topology).
 
     ``set_edges`` entries are ``[source, target, probability]`` exact
@@ -379,77 +405,24 @@ class UpdateRequest:
     same pair are rejected so an update is order-independent.
     """
 
-    set_edges: Tuple[Tuple[int, int, float], ...] = ()
-    remove_edges: Tuple[Tuple[int, int], ...] = ()
+    set_edges: Tuple[Tuple[int, int, float], ...] = field(
+        default=(),
+        metadata={"read": _rows(source=int, target=int, probability=float)},
+    )
+    remove_edges: Tuple[Tuple[int, int], ...] = field(
+        default=(), metadata={"read": _rows(source=int, target=int)}
+    )
 
-    _KEYS = ("set_edges", "remove_edges")
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "UpdateRequest":
-        payload = _require_mapping(payload, "an update request")
-        _reject_unknown_keys(payload, cls._KEYS, "an update request")
-        set_edges = []
-        entries = payload.get("set_edges", [])
-        if not isinstance(entries, (list, tuple)):
-            raise InvalidQueryError(
-                "set_edges must be a list of [source, target, probability] "
-                f"entries, got {entries!r}"
-            )
-        for position, entry in enumerate(entries):
-            context = f"set_edges entry {position}"
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise InvalidQueryError(
-                    f"{context}: expected [source, target, probability], "
-                    f"got {entry!r}"
-                )
-            source = _require_int(entry[0], f"{context}: source")
-            target = _require_int(entry[1], f"{context}: target")
-            probability = entry[2]
-            if isinstance(probability, bool) or not isinstance(
-                probability, (int, float)
-            ):
-                raise InvalidQueryError(
-                    f"{context}: probability must be a number, "
-                    f"got {probability!r}"
-                )
-            set_edges.append((source, target, float(probability)))
-        remove_edges = []
-        entries = payload.get("remove_edges", [])
-        if not isinstance(entries, (list, tuple)):
-            raise InvalidQueryError(
-                "remove_edges must be a list of [source, target] entries, "
-                f"got {entries!r}"
-            )
-        for position, entry in enumerate(entries):
-            context = f"remove_edges entry {position}"
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise InvalidQueryError(
-                    f"{context}: expected [source, target], got {entry!r}"
-                )
-            remove_edges.append(
-                (
-                    _require_int(entry[0], f"{context}: source"),
-                    _require_int(entry[1], f"{context}: target"),
-                )
-            )
-        if not set_edges and not remove_edges:
+    def __post_init__(self) -> None:
+        if not self.set_edges and not self.remove_edges:
             raise InvalidQueryError(
                 "an update request needs at least one set_edges or "
                 "remove_edges entry"
             )
-        return cls(
-            set_edges=tuple(set_edges), remove_edges=tuple(remove_edges)
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "set_edges": [list(entry) for entry in self.set_edges],
-            "remove_edges": [list(entry) for entry in self.remove_edges],
-        }
 
 
 @dataclass(frozen=True)
-class ShardRunRequest:
+class ShardRunRequest(Wire, what="a shard run request"):
     """One world-range evaluation dispatched to a shard worker.
 
     The shard protocol's request half (``POST /v1/shard/run``): evaluate
@@ -465,69 +438,19 @@ class ShardRunRequest:
     with a single-process run; hit counts are bit-identical regardless.
     """
 
-    queries: Tuple[QuerySpec, ...]
+    queries: Tuple[QuerySpec, ...] = _queries()
     start: int
     stop: int
     seed: int
-    fingerprint: str
+    fingerprint: str = field(metadata={"read": _read_nonempty_string})
     samples: int = 1_000
     max_hops: Optional[int] = None
     chunk_size: Optional[int] = None
     kernels: Optional[str] = None
 
-    _KEYS = (
-        "queries", "start", "stop", "seed", "fingerprint", "samples",
-        "max_hops", "chunk_size", "kernels",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "ShardRunRequest":
-        payload = _require_mapping(payload, "a shard run request")
-        _reject_unknown_keys(payload, cls._KEYS, "a shard run request")
-        for key in ("queries", "start", "stop", "seed", "fingerprint"):
-            if key not in payload:
-                raise InvalidQueryError(
-                    f"a shard run request needs {key!r}"
-                )
-        fingerprint = payload["fingerprint"]
-        if not isinstance(fingerprint, str) or not fingerprint:
-            raise InvalidQueryError(
-                f"fingerprint must be a non-empty string, "
-                f"got {fingerprint!r}"
-            )
-        kernels = payload.get("kernels")
-        if kernels is not None and not isinstance(kernels, str):
-            raise InvalidQueryError(
-                f"kernels must be a string, got {kernels!r}"
-            )
-        return cls(
-            queries=coerce_query_specs(payload["queries"]),
-            start=_require_int(payload["start"], "start"),
-            stop=_require_int(payload["stop"], "stop"),
-            seed=_require_int(payload["seed"], "seed"),
-            fingerprint=fingerprint,
-            samples=_require_int(payload.get("samples", 1_000), "samples"),
-            max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
-            chunk_size=_optional_int(payload.get("chunk_size"), "chunk_size"),
-            kernels=kernels,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queries": [query.to_dict() for query in self.queries],
-            "start": self.start,
-            "stop": self.stop,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "samples": self.samples,
-            "max_hops": self.max_hops,
-            "chunk_size": self.chunk_size,
-            "kernels": self.kernels,
-        }
-
 
 @dataclass(frozen=True)
-class RecommendRequest:
+class RecommendRequest(Wire, what="a recommend request"):
     """Inputs to an estimator recommendation.
 
     The three booleans are the paper's Fig. 18 decision-tree questions.
@@ -544,27 +467,6 @@ class RecommendRequest:
     samples: int = 1_000
     max_hops: Optional[int] = None
 
-    _BOOL_KEYS = ("memory_limited", "lowest_variance", "latency_tolerant")
-    _KEYS = _BOOL_KEYS + ("samples", "max_hops")
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "RecommendRequest":
-        payload = _require_mapping(payload, "a recommend request")
-        _reject_unknown_keys(payload, cls._KEYS, "a recommend request")
-        values: Dict[str, Any] = {}
-        for key in cls._BOOL_KEYS:
-            value = payload.get(key, False)
-            if not isinstance(value, bool):
-                raise InvalidQueryError(
-                    f"{key} must be a boolean, got {value!r}"
-                )
-            values[key] = value
-        return cls(
-            samples=_require_int(payload.get("samples", 1_000), "samples"),
-            max_hops=_optional_int(payload.get("max_hops"), "max_hops"),
-            **values,
-        )
-
 
 # ----------------------------------------------------------------------
 # Responses
@@ -572,7 +474,7 @@ class RecommendRequest:
 
 
 @dataclass(frozen=True)
-class QueryResult:
+class QueryResult(Wire):
     """Per-query stats of one answered workload entry.
 
     ``cached`` is the per-query cache provenance: ``True`` when the
@@ -586,23 +488,11 @@ class QueryResult:
     samples: int
     max_hops: Optional[int]
     estimate: float
-    cached: Optional[bool] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        row: Dict[str, Any] = {
-            "source": self.source,
-            "target": self.target,
-            "samples": self.samples,
-            "max_hops": self.max_hops,
-            "estimate": self.estimate,
-        }
-        if self.cached is not None:
-            row["cached"] = self.cached
-        return row
+    cached: Optional[bool] = _omitted()
 
 
 @dataclass(frozen=True)
-class EngineReport:
+class EngineReport(Wire):
     """How a workload was served: dispatch mode plus engine counters.
 
     ``mode`` is always present; the counters appear when the shared-world
@@ -614,31 +504,19 @@ class EngineReport:
     """
 
     mode: str
-    workers: Optional[int] = None
-    worlds_sampled: Optional[int] = None
-    sweeps: Optional[int] = None
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
-    seconds: Optional[float] = None
-    chunk_size: Optional[int] = None
-    cache: Optional[Dict[str, int]] = None
-    fingerprint: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        report: Dict[str, Any] = {"mode": self.mode}
-        for key in (
-            "workers", "worlds_sampled", "sweeps", "cache_hits",
-            "cache_misses", "seconds", "chunk_size", "cache",
-            "fingerprint",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                report[key] = value
-        return report
+    workers: Optional[int] = _omitted()
+    worlds_sampled: Optional[int] = _omitted()
+    sweeps: Optional[int] = _omitted()
+    cache_hits: Optional[int] = _omitted()
+    cache_misses: Optional[int] = _omitted()
+    seconds: Optional[float] = _omitted()
+    chunk_size: Optional[int] = _omitted()
+    cache: Optional[Dict[str, int]] = _omitted()
+    fingerprint: Optional[str] = _omitted()
 
 
 @dataclass(frozen=True)
-class EstimateResponse:
+class EstimateResponse(Wire):
     """One answered estimate, with its full provenance.
 
     ``routing`` appears only on ``method="auto"`` requests: the router's
@@ -648,36 +526,20 @@ class EstimateResponse:
     verify bit-identity.
     """
 
-    source: int
-    target: int
-    samples: int
+    dataset: Optional[str]
+    scale: Optional[str]
     method: str
     method_display: str
     seed: int
+    source: int
+    target: int
+    samples: int
     estimate: float
-    dataset: Optional[str] = None
-    scale: Optional[str] = None
-    routing: Optional[Dict[str, Any]] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "method": self.method,
-            "method_display": self.method_display,
-            "seed": self.seed,
-            "source": self.source,
-            "target": self.target,
-            "samples": self.samples,
-            "estimate": self.estimate,
-        }
-        if self.routing is not None:
-            payload["routing"] = self.routing
-        return payload
+    routing: Optional[Dict[str, Any]] = _omitted()
 
 
 @dataclass(frozen=True)
-class BatchResponse:
+class BatchResponse(Wire):
     """An answered workload: per-query stats plus the engine report.
 
     ``to_dict()`` keeps the document shape ``repro batch`` has always
@@ -688,37 +550,27 @@ class BatchResponse:
     exactly what they did.
     """
 
+    dataset: Optional[str]
+    scale: Optional[str]
     method: str
     seed: int
+    query_count: int = field(init=False)  # always len(results)
     engine: EngineReport
     results: Tuple[QueryResult, ...]
-    dataset: Optional[str] = None
-    scale: Optional[str] = None
     #: The router's decision record; present only on ``method="auto"``
     #: requests (``method`` then reports the concrete routed estimator).
-    routing: Optional[Dict[str, Any]] = None
+    routing: Optional[Dict[str, Any]] = _omitted()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "query_count", len(self.results))
 
     @property
     def estimates(self) -> List[float]:
         return [result.estimate for result in self.results]
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "method": self.method,
-            "seed": self.seed,
-            "query_count": len(self.results),
-            "engine": self.engine.to_dict(),
-            "results": [result.to_dict() for result in self.results],
-        }
-        if self.routing is not None:
-            payload["routing"] = self.routing
-        return payload
-
 
 @dataclass(frozen=True)
-class WarmResponse:
+class WarmResponse(Wire):
     """Outcome of one cache-warming pass.
 
     ``already_warm`` counts unique queries served from the cache without
@@ -735,26 +587,11 @@ class WarmResponse:
     seconds: float
     seed: int
     persistent: bool
-    cache: Optional[Dict[str, int]] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "query_count": self.query_count,
-            "unique_queries": self.unique_queries,
-            "already_warm": self.already_warm,
-            "newly_written": self.newly_written,
-            "worlds_sampled": self.worlds_sampled,
-            "seconds": self.seconds,
-            "seed": self.seed,
-            "persistent": self.persistent,
-        }
-        if self.cache is not None:
-            payload["cache"] = self.cache
-        return payload
+    cache: Optional[Dict[str, int]] = _omitted()
 
 
 @dataclass(frozen=True)
-class UpdateResponse:
+class UpdateResponse(Wire):
     """Outcome of one live graph update.
 
     ``previous_fingerprint`` → ``fingerprint`` is the cache-visible
@@ -780,25 +617,9 @@ class UpdateResponse:
     pool: str
     seconds: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "previous_fingerprint": self.previous_fingerprint,
-            "fingerprint": self.fingerprint,
-            "version": self.version,
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "edges_set": self.edges_set,
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
-            "structural": self.structural,
-            "estimators": dict(self.estimators),
-            "pool": self.pool,
-            "seconds": self.seconds,
-        }
-
 
 @dataclass(frozen=True)
-class ShardRunResponse:
+class ShardRunResponse(Wire, what="a shard run response"):
     """A shard's answer to one world-range evaluation.
 
     ``hits[i]`` is the integer number of worlds in ``[start, stop)``
@@ -808,10 +629,10 @@ class ShardRunResponse:
     a reply belongs to the stream it dispatched before merging it.
 
     Unlike the other responses this one is parsed back (by the
-    coordinator's shard client), so it carries a strict ``from_dict``
-    mirroring the request types: a malformed reply from a confused host
-    becomes a structured dispatch failure, never a deep ``TypeError``
-    inside the merge.
+    coordinator's shard client) through the same strict ``from_dict`` as
+    the request types: a malformed reply from a confused host becomes a
+    structured dispatch failure, never a deep ``TypeError`` inside the
+    merge.
     """
 
     hits: Tuple[int, ...]
@@ -820,75 +641,20 @@ class ShardRunResponse:
     worlds_evaluated: int
     sweeps: int
     seed: int
-    fingerprint: str
+    fingerprint: str = field(metadata={"read": _read_nonempty_string})
     seconds: float
     query_count: int
 
-    _KEYS = (
-        "hits", "start", "stop", "worlds_evaluated", "sweeps", "seed",
-        "fingerprint", "seconds", "query_count",
-    )
 
-    @classmethod
-    def from_dict(cls, payload: Any) -> "ShardRunResponse":
-        payload = _require_mapping(payload, "a shard run response")
-        _reject_unknown_keys(payload, cls._KEYS, "a shard run response")
-        for key in cls._KEYS:
-            if key not in payload:
-                raise InvalidQueryError(
-                    f"a shard run response needs {key!r}"
-                )
-        hits = payload["hits"]
-        if not isinstance(hits, (list, tuple)):
-            raise InvalidQueryError(
-                f"hits must be a list of integers, got {hits!r}"
-            )
-        fingerprint = payload["fingerprint"]
-        if not isinstance(fingerprint, str) or not fingerprint:
-            raise InvalidQueryError(
-                f"fingerprint must be a non-empty string, "
-                f"got {fingerprint!r}"
-            )
-        seconds = payload["seconds"]
-        if isinstance(seconds, bool) or not isinstance(
-            seconds, (int, float)
-        ):
-            raise InvalidQueryError(
-                f"seconds must be a number, got {seconds!r}"
-            )
-        return cls(
-            hits=tuple(
-                _require_int(value, f"hits[{position}]")
-                for position, value in enumerate(hits)
-            ),
-            start=_require_int(payload["start"], "start"),
-            stop=_require_int(payload["stop"], "stop"),
-            worlds_evaluated=_require_int(
-                payload["worlds_evaluated"], "worlds_evaluated"
-            ),
-            sweeps=_require_int(payload["sweeps"], "sweeps"),
-            seed=_require_int(payload["seed"], "seed"),
-            fingerprint=fingerprint,
-            seconds=float(seconds),
-            query_count=_require_int(payload["query_count"], "query_count"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": list(self.hits),
-            "start": self.start,
-            "stop": self.stop,
-            "worlds_evaluated": self.worlds_evaluated,
-            "sweeps": self.sweeps,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "seconds": self.seconds,
-            "query_count": self.query_count,
-        }
+def _ranking_rows(ranking: Tuple[Tuple[int, float], ...]) -> List[Dict[str, Any]]:
+    return [
+        {"rank": rank, "node": node, "reliability": reliability}
+        for rank, (node, reliability) in enumerate(ranking, start=1)
+    ]
 
 
 @dataclass(frozen=True)
-class TopKResponse:
+class TopKResponse(Wire):
     """Ranked (node, reliability) rows for one top-k query."""
 
     source: int
@@ -896,26 +662,13 @@ class TopKResponse:
     samples: int
     method: str
     seed: int
-    ranking: Tuple[Tuple[int, float], ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "k": self.k,
-            "samples": self.samples,
-            "method": self.method,
-            "seed": self.seed,
-            "ranking": [
-                {"rank": rank, "node": node, "reliability": reliability}
-                for rank, (node, reliability) in enumerate(
-                    self.ranking, start=1
-                )
-            ],
-        }
+    ranking: Tuple[Tuple[int, float], ...] = field(
+        metadata={"write": _ranking_rows}
+    )
 
 
 @dataclass(frozen=True)
-class BoundsResponse:
+class BoundsResponse(Wire):
     """Polynomial-time reliability bracket for one (source, target)."""
 
     source: int
@@ -923,17 +676,9 @@ class BoundsResponse:
     lower: float
     upper: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
 
 @dataclass(frozen=True)
-class RecommendResponse:
+class RecommendResponse(Wire):
     """An estimator recommendation, static or routed.
 
     The original three fields are the Fig. 18 decision-tree walk and
@@ -947,28 +692,66 @@ class RecommendResponse:
 
     path: Tuple[str, ...]
     estimators: Tuple[str, ...]
-    display_names: Tuple[str, ...] = field(default=())
-    reason: Optional[str] = None
-    decision: Optional[Dict[str, Any]] = None
-    telemetry: Optional[Dict[str, Any]] = None
+    display_names: Tuple[str, ...] = ()
+    reason: Optional[str] = _omitted()
+    decision: Optional[Dict[str, Any]] = _omitted()
+    telemetry: Optional[Dict[str, Any]] = _omitted()
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "path": list(self.path),
-            "estimators": list(self.estimators),
-            "display_names": list(self.display_names),
-        }
-        if self.reason is not None:
-            payload["reason"] = self.reason
-        if self.decision is not None:
-            payload["decision"] = self.decision
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
-        return payload
+
+# ----------------------------------------------------------------------
+# Endpoints
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """One row of :data:`ENDPOINT_TABLE`.
+
+    ``name`` is the request-counter key and spells the route
+    (:attr:`path`); ``method`` names the
+    :class:`~repro.api.service.ReliabilityService` method that answers
+    it.  ``request`` / ``response`` are the wire types either side of
+    that method — ``None`` where it takes no body or returns a plain
+    dict.  ``verbs`` are the HTTP verbs the route accepts; ``()`` keeps
+    the endpoint local (CLI and library callers only).
+    """
+
+    name: str
+    verbs: Tuple[str, ...]
+    method: str
+    request: Optional[type] = None
+    response: Optional[type] = None
+
+    @property
+    def path(self) -> str:
+        return "/v1/" + self.name.replace("_", "/")
+
+
+#: The endpoint surface, stated once.  ``ReliabilityService.ENDPOINTS``,
+#: the HTTP routes of ``serve/server.py`` and the W301-W303 lint facts
+#: are all read from here (and ``docs/api.md`` is checked against it),
+#: so a new endpoint is one row plus its service method.
+ENDPOINT_TABLE: Tuple[Endpoint, ...] = (
+    Endpoint("estimate", ("POST",), "estimate", EstimateRequest, EstimateResponse),
+    Endpoint("batch", ("POST",), "estimate_batch", BatchRequest, BatchResponse),
+    Endpoint("warm", ("POST",), "warm", WarmRequest, WarmResponse),
+    Endpoint("update", ("POST",), "update", UpdateRequest, UpdateResponse),
+    Endpoint("shard_run", ("POST",), "shard_run", ShardRunRequest, ShardRunResponse),
+    Endpoint("topk", ("POST",), "topk", TopKRequest, TopKResponse),
+    Endpoint("bounds", ("POST",), "bounds", BoundsRequest, BoundsResponse),
+    # Streams a long-running experiment, so it belongs to the CLI.
+    Endpoint("study", (), "study"),
+    Endpoint(
+        "recommend", ("GET", "POST"), "recommend", RecommendRequest, RecommendResponse
+    ),
+    Endpoint("health", ("GET",), "health"),
+    Endpoint("stats", ("GET",), "stats"),
+)
 
 
 __all__ = [
     "ResolvedQuery",
+    "Wire",
     "QuerySpec",
     "coerce_query_specs",
     "EstimateRequest",
@@ -989,4 +772,6 @@ __all__ = [
     "TopKResponse",
     "BoundsResponse",
     "RecommendResponse",
+    "Endpoint",
+    "ENDPOINT_TABLE",
 ]

@@ -17,9 +17,13 @@ Endpoints (all JSON)::
     POST /v1/bounds     BoundsRequest    -> BoundsResponse
     POST /v1/recommend  RecommendRequest -> RecommendResponse
     POST /v1/shard/run  ShardRunRequest  -> ShardRunResponse
-    GET  /v1/recommend  default-shape recommendation (query params accepted)
+    GET  /v1/recommend  the same request, spelled as query parameters
     GET  /v1/health     liveness payload
     GET  /v1/stats      service-lifetime counters + cache statistics
+
+The routes are not written down here: they are read off
+:data:`repro.api.types.ENDPOINT_TABLE` (path, verbs, request type,
+service method), so the listing above is a rendering of that table.
 
 Both ``estimate`` and ``batch`` accept ``method="auto"``: the service's
 adaptive router (:mod:`repro.routing`) picks the estimator from measured
@@ -78,7 +82,7 @@ import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 from urllib.parse import parse_qs
 
 from repro.api.errors import (
@@ -87,16 +91,7 @@ from repro.api.errors import (
     ReliabilityError,
 )
 from repro.api.service import DEFAULT_REWARM_TOP, ReliabilityService
-from repro.api.types import (
-    BatchRequest,
-    BoundsRequest,
-    EstimateRequest,
-    RecommendRequest,
-    ShardRunRequest,
-    TopKRequest,
-    UpdateRequest,
-    WarmRequest,
-)
+from repro.api.types import ENDPOINT_TABLE, Endpoint
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8315
@@ -197,8 +192,10 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
 
-    #: The GET-only endpoints (POST routes live in :meth:`_post_routes`).
-    _GET_PATHS = ("/v1/health", "/v1/stats")
+    #: Path -> table row, for every endpoint served over HTTP.
+    _ROUTES = {
+        endpoint.path: endpoint for endpoint in ENDPOINT_TABLE if endpoint.verbs
+    }
 
     @property
     def route_path(self) -> str:
@@ -207,55 +204,63 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
         Routing must match on the path alone: ``GET /v1/health?verbose=1``
         is a request *to* ``/v1/health``, not to a different resource —
         matching the raw target 404'd any URL that carried a query.
-        (Query parameters themselves are accepted and ignored; no
-        endpoint defines any yet.)
+        (A GET endpoint with a request type reads its fields from the
+        query string — see :meth:`_payload_from_query`; elsewhere
+        parameters are accepted and ignored.)
         """
         path = self.path.partition("?")[0]
         return path.partition("#")[0]
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        service = self.server.service
+        self._serve("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
+        self._serve("POST")
+
+    def _serve(self, verb: str) -> None:
         path = self.route_path
-        payload = None
+        endpoint = self._ROUTES.get(path)
+        if endpoint is None:
+            self._send_json(404, _error_body("not found", path))
+            return
+        if verb not in endpoint.verbs:
+            self._send_method_not_allowed(", ".join(endpoint.verbs))
+            return
         try:
-            # Only the *service* calls live inside the containment: a
-            # failed send must propagate to socketserver as ever (writing
-            # a 500 onto a socket that just broke mid-response would only
-            # raise again from the handler).
-            if path == "/v1/health":
-                payload = service.health()
-            elif path == "/v1/stats":
-                payload = service.stats()
-            elif path == "/v1/recommend":
-                payload = service.recommend(
-                    self._recommend_request_from_query()
-                ).to_dict()
+            # Only reading the request and the *service* call live inside
+            # the containment: a failed send must propagate to
+            # socketserver as ever (writing a 500 onto a socket that just
+            # broke mid-response would only raise again from the handler).
+            if verb == "POST":
+                payload = self._read_json()
+            else:
+                payload = self._payload_from_query(endpoint)
+            response = self._call(endpoint, payload)
         except ReliabilityError as error:
             self._send_json(error.http_status, {"error": error.to_dict()})
-            return
-        except Exception:  # noqa: BLE001 — same containment as do_POST
-            self._send_internal_error("GET", path)
-            return
-        if payload is not None:
-            self._send_json(200, payload)
-        elif path in self._post_routes():
-            self._send_method_not_allowed("POST")
+        except Exception:  # noqa: BLE001 — the transport must not die
+            self._send_internal_error(verb, path)
         else:
-            self._send_json(404, _error_body("not found", path))
+            self._send_json(200, response)
 
-    def _recommend_request_from_query(self) -> RecommendRequest:
-        """Build a :class:`RecommendRequest` from GET query parameters.
+    def _payload_from_query(self, endpoint: Endpoint) -> Dict[str, Any]:
+        """The request payload a GET spells as query parameters.
 
         ``GET /v1/recommend`` with no parameters asks about the default
         query shape; ``?samples=10000&max_hops=3&memory_limited=true``
-        narrows it.  Values go through the same validation as the POST
-        body (booleans are ``true``/``false``/``1``/``0``).
+        narrows it.  Each value is read as its field's annotation says
+        (booleans are ``true``/``false``/``1``/``0``, anything else an
+        integer) and the result goes through the same ``from_dict`` as
+        a POST body.
         """
+        if endpoint.request is None:
+            return {}
+        hints = get_type_hints(endpoint.request)
         query = self.path.partition("?")[2].partition("#")[0]
         payload: Dict[str, Any] = {}
         for key, values in parse_qs(query, keep_blank_values=True).items():
             raw = values[-1]
-            if key in RecommendRequest._BOOL_KEYS:
+            if hints.get(key) is bool:
                 if raw.lower() not in ("true", "false", "1", "0"):
                     raise InvalidQueryError(
                         f"{key} must be true/false, got {raw!r}"
@@ -268,26 +273,40 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
                     raise InvalidQueryError(
                         f"{key} must be an integer, got {raw!r}"
                     ) from None
-        return RecommendRequest.from_dict(payload)
+        return payload
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        path = self.route_path
-        handler = self._post_routes().get(path)
-        if handler is None:
-            if path in self._GET_PATHS:
-                self._send_method_not_allowed("GET")
-            else:
-                self._send_json(404, _error_body("not found", path))
-            return
-        try:
-            payload = self._read_json()
-            response = handler(payload)
-        except ReliabilityError as error:
-            self._send_json(error.http_status, {"error": error.to_dict()})
-        except Exception:  # noqa: BLE001 — the transport must not die
-            self._send_internal_error("POST", path)
-        else:
-            self._send_json(200, response)
+    def _call(self, endpoint: Endpoint, payload: Any) -> Dict[str, Any]:
+        """Parse, call the endpoint's service method, serialise.
+
+        Two routes carry transport-side behaviour the table cannot
+        state.  ``/v1/shard/run`` sleeps :func:`shard_run_delay` *before*
+        anything else, in the dispatch window a coordinator observes —
+        exactly where a fault drill wants the worker to be killable.
+        ``/v1/update`` starts the re-warm on a daemon thread *after* the
+        response is computed: the client gets its version transition
+        immediately, and the hottest logged keys are re-evaluated
+        against the successor concurrently with whatever traffic
+        follows (progress: the ``rewarm`` counters in ``/v1/stats``).
+        """
+        service = self.server.service
+        method = getattr(service, endpoint.method)
+        if endpoint.request is None:
+            return method()
+        if endpoint.path == "/v1/shard/run":
+            delay = shard_run_delay()
+            if delay > 0:
+                time.sleep(delay)
+        response = method(endpoint.request.from_dict(payload)).to_dict()
+        if endpoint.path == "/v1/update":
+            limit = getattr(self.server, "rewarm_top", DEFAULT_REWARM_TOP)
+            if limit > 0:
+                threading.Thread(
+                    target=service.rewarm,
+                    args=(limit,),
+                    name="repro-serve-rewarm",
+                    daemon=True,
+                ).start()
+        return response
 
     def _send_internal_error(self, verb: str, path: str) -> None:
         """Contain an unexpected handler failure: log, 500, close.
@@ -315,66 +334,6 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
                 }
             },
         )
-
-    def _post_routes(self) -> Dict[str, Callable[[Any], Dict[str, Any]]]:
-        service = self.server.service
-        return {
-            "/v1/estimate": lambda payload: service.estimate(
-                EstimateRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/batch": lambda payload: service.estimate_batch(
-                BatchRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/warm": lambda payload: service.warm(
-                WarmRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/topk": lambda payload: service.topk(
-                TopKRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/bounds": lambda payload: service.bounds(
-                BoundsRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/recommend": lambda payload: service.recommend(
-                RecommendRequest.from_dict(payload)
-            ).to_dict(),
-            "/v1/update": self._handle_update,
-            "/v1/shard/run": self._handle_shard_run,
-        }
-
-    def _handle_update(self, payload: Any) -> Dict[str, Any]:
-        """Apply a live graph update, then re-warm in the background.
-
-        The re-warm runs on a daemon thread *after* the update response
-        is computed: the client gets its version transition immediately,
-        and the hottest logged keys are re-evaluated against the
-        successor concurrently with whatever traffic follows.  Progress
-        is observable via the ``rewarm`` counters in ``/v1/stats``.
-        """
-        service = self.server.service
-        response = service.update(UpdateRequest.from_dict(payload)).to_dict()
-        limit = getattr(self.server, "rewarm_top", DEFAULT_REWARM_TOP)
-        if limit > 0:
-            threading.Thread(
-                target=service.rewarm,
-                args=(limit,),
-                name="repro-serve-rewarm",
-                daemon=True,
-            ).start()
-        return response
-
-    def _handle_shard_run(self, payload: Any) -> Dict[str, Any]:
-        """Evaluate one world range for a coordinator (shard-tier RPC).
-
-        The optional :func:`shard_run_delay` sleep runs *before* the
-        service call, in the dispatch window a coordinator observes —
-        exactly where a fault drill wants the worker to be killable.
-        """
-        delay = shard_run_delay()
-        if delay > 0:
-            time.sleep(delay)
-        return self.server.service.shard_run(
-            ShardRunRequest.from_dict(payload)
-        ).to_dict()
 
     # ------------------------------------------------------------------
     # IO helpers
