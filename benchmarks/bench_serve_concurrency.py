@@ -346,8 +346,7 @@ def test_pool_scaling():
     batch clients.  ``workers=1`` runs every sweep in the handler
     thread; ``workers=N`` attaches the service's one shared
     :class:`~repro.engine.pool.WorkerPool`, pre-forked with the graph
-    loaded, so requests dispatch ``(chunk_start, count)`` tasks instead
-    of re-forking per request.  Bit identity across all worker counts is
+    loaded, so requests dispatch world ranges to standing workers.  Bit identity across all worker counts is
     asserted unconditionally (the engine's determinism contract); the
     throughput *scaling* floor only when the host has the cores to show
     it — a single-core runner can demonstrate correctness, not

@@ -30,7 +30,7 @@ def main() -> None:
     ]
     print("Decision-tree walks (paper Fig. 18):")
     for label, request in scenarios:
-        response = ReliabilityService.recommend(request)
+        response = ReliabilityService.recommend_static(request)
         print(f"  {label:48s} -> {', '.join(response.display_names)}")
     print(f"\noverall paper recommendation: {display_name(overall_recommendation())}")
 

@@ -162,12 +162,10 @@ class ReliabilityService:
     Multi-process requests share **one** long-lived
     :class:`~repro.engine.pool.WorkerPool`: the first engine run that
     fans out forks the workers (graph shipped once, at fork), and every
-    later run — any request thread, any seed — dispatches its
-    ``(chunk_start, count)`` tasks to the same processes instead of
-    re-forking and re-pickling the graph per request.  The pool dies
-    with the service (:meth:`close`); a run that catches the pool
-    closing falls back to the per-run fork, so shutdown never corrupts
-    an in-flight request.
+    later run — any request thread, any seed — dispatches its world
+    ranges to the same processes.  The pool dies with the service
+    (:meth:`close`); a run that catches the pool closing sweeps inline
+    instead, so shutdown never corrupts an in-flight request.
     """
 
     #: Every endpoint name, fixed so the counter dict never resizes —
@@ -312,9 +310,9 @@ class ReliabilityService:
         self._closed = True
         pool = self._pool
         if pool is not None:
-            # Waits for running chunk tasks, cancels queued ones; a run
-            # mid-dispatch sees PoolClosedError and falls back to its
-            # per-run fork, so its estimates still come out correct.
+            # Waits for running range tasks, cancels queued ones; a run
+            # mid-dispatch sees PoolClosedError and sweeps inline, so
+            # its estimates still come out correct.
             pool.close()
         close = getattr(self._cache, "close", None)
         if close is not None:
@@ -548,8 +546,8 @@ class ReliabilityService:
         :meth:`update` does the close half for pools it retires).  A run
         against a graph that is no longer ``self.graph`` (it resolved
         its engine just before an update swapped versions) gets ``None``
-        and falls back to its per-run fork — stale versions never
-        recruit the shared pool.
+        — its engine borrows the process-wide registry pool of that
+        version instead; stale versions never recruit the service's pool.
         """
         fingerprint = graph_fingerprint(graph)
         stale = None
@@ -575,6 +573,7 @@ class ReliabilityService:
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
         kernels: Optional[str] = None,
+        pool=None,
     ) -> BatchEngine:
         """An engine over the service's graph sharing the service cache.
 
@@ -585,14 +584,16 @@ class ReliabilityService:
 
         The graph is snapshot **once**: a concurrent :meth:`update`
         swapping ``self.graph`` mid-call cannot hand this run a pool
-        forked for one version and an engine over another.
+        forked for one version and an engine over another.  ``pool``
+        names the run's range evaluator outright (see
+        :meth:`_batch_evaluator`); otherwise multi-worker runs get the
+        service's shared pool.
         """
         graph = self.graph
         resolved = resolve_workers(
             self.workers if workers is None else workers
         )
-        pool = None
-        if resolved > 1 and not self._closed:
+        if pool is None and resolved > 1 and not self._closed:
             pool = self._shared_pool(graph, resolved)
         return BatchEngine(
             graph,
@@ -603,6 +604,16 @@ class ReliabilityService:
             pool=pool,
             cache=self._cache,
         )
+
+    def _batch_evaluator(self):
+        """Where engine-backed ``/v1/batch`` runs sweep pending worlds.
+
+        ``None`` leaves it to the engine (inline, or the shared pool for
+        multi-worker runs); a shard tier returns its coordinator.  The
+        evaluator's ``mode`` attribute, when it has one, is the
+        ``engine.mode`` those batches report.
+        """
+        return None
 
     def _cache_report(self) -> Optional[Dict[str, int]]:
         return self._cache.statistics() if self.persistent else None
@@ -782,15 +793,17 @@ class ReliabilityService:
                 else request.chunk_size
             )
             self._record_queries(queries, seed)
+            # The sequential oracle sweeps in this thread by definition.
+            evaluator = None if request.sequential else self._batch_evaluator()
             engine = self._engine(
-                seed, chunk_size, request.workers, request.kernels
+                seed, chunk_size, request.workers, request.kernels,
+                pool=evaluator,
             )
-            result = (
-                engine.run_sequential(queries)
-                if request.sequential
-                else engine.run(queries)
-            )
-            mode = "sequential" if request.sequential else "shared_worlds"
+            if request.sequential:
+                result, mode = engine.run_sequential(queries), "sequential"
+            else:
+                result = engine.run(queries)
+                mode = getattr(evaluator, "mode", "shared_worlds")
             report = self._engine_report(mode, result, chunk_size)
             rows = self._rows_from_result(result)
             # The engine reports one wall clock for the whole workload;
@@ -1080,7 +1093,7 @@ class ReliabilityService:
             pool_action = "none"
             if stale is not None:
                 # Workers hold the predecessor; close() cancels their
-                # queued chunks (in-flight runs fall back per-run) and
+                # queued ranges (in-flight runs re-sweep inline) and
                 # the next multi-worker engine run forks a fresh pool
                 # pinned to the successor's fingerprint.
                 stale.close()

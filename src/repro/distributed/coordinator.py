@@ -4,8 +4,9 @@ One :class:`ShardCoordinator` owns the worker membership of a
 coordinator-mode ``repro serve`` and turns a pending workload's world
 range ``[0, K)`` into per-shard sub-ranges:
 
-* **partitioning** is chunk-aligned and contiguous
-  (:func:`partition_ranges`), so the union of every shard's chunk
+* **partitioning** is chunk-aligned and contiguous (the engine's
+  :func:`~repro.engine.batch.partition_ranges`, the same partitioner
+  the process pool uses), so the union of every shard's chunk
   boundaries is precisely the boundary set a single process would have
   used — even the ``sweeps`` counter merges exactly;
 * **dispatch** fans the ranges out in parallel (one thread per range —
@@ -41,36 +42,10 @@ from repro.api.errors import ShardUnavailableError
 from repro.api.types import QuerySpec, ShardRunRequest
 from repro.distributed.client import ShardClient, ShardDispatchError
 from repro.distributed.config import ShardTierConfig
+from repro.engine.batch import partition_ranges
 
 #: The contributor tag of ranges the coordinator evaluated itself.
 LOCAL_CONTRIBUTOR = "local"
-
-
-def partition_ranges(
-    total: int, chunk_size: int, parts: int
-) -> List[Tuple[int, int]]:
-    """Split ``[0, total)`` into at most ``parts`` chunk-aligned ranges.
-
-    Ranges are contiguous, disjoint, cover the whole interval, and are
-    balanced to within one chunk.  Alignment matters for one reason
-    only: it keeps every shard's chunk boundaries identical to the
-    single-process run's, so merged sweep counts match exactly.  Hit
-    counts are bit-identical under *any* partition.
-    """
-    if total <= 0:
-        return []
-    chunks = -(-total // chunk_size)  # ceil
-    parts = max(1, min(int(parts), chunks))
-    base, extra = divmod(chunks, parts)
-    ranges: List[Tuple[int, int]] = []
-    chunk_cursor = 0
-    for index in range(parts):
-        span = base + (1 if index < extra else 0)
-        start = chunk_cursor * chunk_size
-        stop = min((chunk_cursor + span) * chunk_size, total)
-        ranges.append((start, stop))
-        chunk_cursor += span
-    return ranges
 
 
 class ShardMember:
@@ -102,7 +77,18 @@ class ShardMember:
 
 
 class ShardCoordinator:
-    """Dispatches world ranges across a fixed shard membership."""
+    """Dispatches world ranges across a fixed shard membership.
+
+    A range evaluator: attach it to a
+    :class:`~repro.engine.batch.BatchEngine` as ``pool=`` and the
+    engine's pending worlds are swept by the shards (:meth:`evaluate`
+    has the signature and return shape of
+    :meth:`~repro.engine.pool.WorkerPool.evaluate`).
+    """
+
+    #: The ``engine.mode`` a served batch reports when this evaluator
+    #: is the one attached to its engine.
+    mode = "distributed"
 
     def __init__(
         self,

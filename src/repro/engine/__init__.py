@@ -2,11 +2,12 @@
 
 Answers workloads of ``(source, target, K[, max_hops])`` queries by
 sampling each possible world once and sweeping it for every pending
-query, instead of re-sampling worlds per query.  Chunk ranges optionally
-fan out over a process pool (``workers=N`` /
-:class:`~repro.engine.parallel.ParallelBatchEngine`) with bit-identical
-results.  See ``docs/architecture.md`` for the design and
-:mod:`repro.engine.batch` for the determinism contract.
+query, instead of re-sampling worlds per query.  Pending world ranges
+optionally leave the thread through one seam — ``workers=N`` borrows a
+pre-forked :class:`~repro.engine.pool.WorkerPool`, ``pool=`` attaches
+any range evaluator — with bit-identical results.  See
+``docs/architecture.md`` for the design and :mod:`repro.engine.batch`
+for the determinism contract.
 """
 
 from repro.engine.batch import (
@@ -27,28 +28,19 @@ from repro.engine.cache import (
     open_result_cache,
     result_key,
 )
-from repro.engine.parallel import ParallelBatchEngine, default_worker_count
 from repro.engine.plan import BatchQuery, QueryPlan, plan_queries
-from repro.engine.pool import (
-    POOL_ENV_VAR,
-    PoolClosedError,
-    WorkerPool,
-    pool_enabled,
-    shared_pool,
-)
+from repro.engine.pool import PoolClosedError, WorkerPool, shared_pool
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "KERNEL_MODES",
     "KERNELS_ENV_VAR",
-    "POOL_ENV_VAR",
     "WORKERS_ENV_VAR",
     "BatchEngine",
     "BatchResult",
     "PoolClosedError",
     "WorkerPool",
     "estimate_workload",
-    "pool_enabled",
     "resolve_kernels",
     "resolve_workers",
     "shared_pool",
@@ -57,8 +49,6 @@ __all__ = [
     "graph_fingerprint",
     "open_result_cache",
     "result_key",
-    "ParallelBatchEngine",
-    "default_worker_count",
     "BatchQuery",
     "QueryPlan",
     "plan_queries",

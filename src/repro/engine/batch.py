@@ -19,11 +19,14 @@ World ``i`` is a pure function of ``(graph, seed, i)`` — see
 * results are independent of ``chunk_size``, which only bounds how many
   ``(chunk, m)`` world masks are resident at once (memory-bounded
   streaming, the anti-``O(Km)`` stance of §2.3's corrected analysis);
-* results are independent of ``workers``: the chunk sweep is
-  embarrassingly parallel across chunk ranges, per-chunk hit counts are
-  integers, and integer addition is associative — so fanning chunks out
-  over a process pool (:mod:`repro.engine.parallel`) reduces to the very
-  same counts the serial loop accumulates, **bit for bit**;
+* results are independent of *where* worlds are swept: any slice
+  ``[start, stop)`` of the stream can be evaluated anywhere
+  (:meth:`BatchEngine.run_range`), per-range hit counts are integers,
+  and integer addition is associative — so partitioning ``[0, K)`` with
+  :func:`partition_ranges` over a process pool
+  (:mod:`repro.engine.pool`) or a shard tier (:mod:`repro.distributed`)
+  reduces to the very same counts the inline loop accumulates, **bit
+  for bit**;
 * estimates are cacheable by ``(graph fingerprint, s, t, K, seed,
   max_hops)`` — see :mod:`repro.engine.cache` — because nothing else
   enters the value.
@@ -60,7 +63,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,27 +112,28 @@ WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Resolve a ``workers`` knob: explicit value, else env var, else 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}"
-            ) from None
-    return check_positive(workers, "workers")
+    if workers is not None:
+        return check_positive(workers, "workers")
+    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
+    if not raw:
+        return 1
+    try:
+        # Zero, negative and non-integer values all name the variable.
+        return check_positive(raw, WORKERS_ENV_VAR)
+    except ValueError:
+        raise ValueError(
+            f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class RangeResult:
     """Integer hit counts for one world range of a workload.
 
-    The primitive of the distributed shard tier
-    (:mod:`repro.distributed`): a shard evaluates worlds ``[start,
-    stop)`` and returns raw per-query hit *counts* — not estimates —
-    because integer counts are what a coordinator can merge exactly.
+    The primitive every off-thread sweep is built on (pool workers
+    and shard servers alike): whoever evaluates worlds ``[start, stop)``
+    returns raw per-query hit *counts* — not estimates — because integer
+    counts are what the caller can merge exactly.
     ``hits`` is aligned with the submitted query order (duplicates
     kept, like :attr:`BatchResult.estimates`).
     """
@@ -148,6 +152,35 @@ class RangeResult:
         return len(self.queries)
 
 
+def partition_ranges(
+    total: int, chunk_size: int, parts: int
+) -> List[Tuple[int, int]]:
+    """Split ``[0, total)`` into at most ``parts`` chunk-aligned ranges.
+
+    The one partitioner of every range evaluator (process pool and
+    shard coordinator).  Ranges are contiguous, disjoint, cover the
+    whole interval, and are balanced to within one chunk.  Alignment
+    matters for one reason only: it keeps every range's chunk
+    boundaries identical to the single-process run's, so merged sweep
+    counts match exactly.  Hit counts are bit-identical under *any*
+    partition.
+    """
+    if total <= 0:
+        return []
+    chunks = -(-total // chunk_size)  # ceil
+    parts = max(1, min(int(parts), chunks))
+    base, extra = divmod(chunks, parts)
+    ranges: List[Tuple[int, int]] = []
+    chunk_cursor = 0
+    for index in range(parts):
+        span = base + (1 if index < extra else 0)
+        start = chunk_cursor * chunk_size
+        stop = min((chunk_cursor + span) * chunk_size, total)
+        ranges.append((start, stop))
+        chunk_cursor += span
+    return ranges
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Estimates plus engine instrumentation for one workload run."""
@@ -160,7 +193,7 @@ class BatchResult:
     cache_hits: int
     cache_misses: int
     seconds: float
-    workers: int = 1  # processes that evaluated chunks (1 = in-process)
+    workers: int = 1  # who swept: ranges placed / hosts answering (1 = inline)
     #: Per-query cache provenance aligned with ``queries``: ``True`` where
     #: the estimate was replayed from the result cache without sampling,
     #: ``False`` where this run evaluated it.  ``None`` when the run had
@@ -215,12 +248,13 @@ class BatchEngine:
         ``"per_world"`` (one kernel sweep per world) — identical results,
         different constants.
     workers:
-        Number of processes evaluating chunk ranges.  ``None`` reads the
-        ``REPRO_ENGINE_WORKERS`` environment variable (default 1).  With
-        ``workers >= 2`` chunks fan out over a ``ProcessPoolExecutor``
-        (:mod:`repro.engine.parallel`) and the per-query hit counts are
-        summed in the parent — bit-identical to the serial sweep by the
-        determinism contract.
+        How many ranges a run's pending worlds are split into for a
+        process pool.  ``None`` reads the ``REPRO_ENGINE_WORKERS``
+        environment variable (default 1 — everything inline).  With
+        ``workers >= 2`` and no attached ``pool``, runs borrow the
+        process-wide :func:`~repro.engine.pool.shared_pool` for this
+        graph; the per-range hit counts are summed in the parent —
+        bit-identical to the inline sweep by the determinism contract.
     kernels:
         ``"python"`` (the historical per-node loops) or ``"vectorized"``
         (the frontier-bulk kernels of :mod:`repro.engine.kernels`).
@@ -229,12 +263,16 @@ class BatchEngine:
         are bit-identical either way (the kernel conformance suite pins
         this); the knob is purely a constant-factor lever.
     pool:
-        A long-lived :class:`~repro.engine.pool.WorkerPool` to evaluate
-        fanned-out chunk ranges on, instead of forking a fresh pool per
-        run.  ``None`` (default) falls back to the per-run fork — unless
-        ``REPRO_ENGINE_POOL`` is set, in which case runs borrow the
-        process-wide shared pool for this graph.  A closed pool is
-        treated as "no pool" (the run falls back), never as an error.
+        The range evaluator: where a run's pending worlds ``[0, K)`` are
+        swept when not in this thread.  Anything with ``evaluate(engine,
+        pending_queries, k_needed) -> (int64 hits aligned with the
+        queries, sweeps, contributors)`` — a long-lived
+        :class:`~repro.engine.pool.WorkerPool` or a shard tier's
+        :class:`~repro.distributed.coordinator.ShardCoordinator`; both
+        partition with :func:`partition_ranges` and run
+        :meth:`run_range` elsewhere.  A closed pool
+        (:class:`~repro.engine.pool.PoolClosedError`) is treated as "no
+        pool" — the run sweeps inline — never as an error.
     cache:
         A shared :class:`ResultCache`; by default each engine owns one of
         ``DEFAULT_CACHE_CAPACITY`` entries.  The cache is internally
@@ -431,9 +469,9 @@ class BatchEngine:
 
         Returns fresh per-unique-query hit counts plus the number of sweeps
         performed.  Pure in ``(graph, seed, sweep, arguments)`` — it reads
-        no mutable engine state — which is what lets
-        :mod:`repro.engine.parallel` run chunk ranges in worker processes
-        and sum the counts in any order without changing a single bit.
+        no mutable engine state — which is what lets any process sweep
+        any range and the counts be summed in any order without changing
+        a single bit.
         """
         masks = self.world_masks(chunk_start, count)
         hits = np.zeros(unique_count, dtype=np.int64)
@@ -471,43 +509,80 @@ class BatchEngine:
     # Evaluation strategies
     # ------------------------------------------------------------------
 
-    def _resolve_pool(self):
-        """The pool this run's fan-out should use, if any.
-
-        An explicitly attached pool wins; otherwise ``REPRO_ENGINE_POOL``
-        borrows the process-wide shared pool for this graph (the CI
-        worker-pool leg's switch).  ``None`` means per-run forking.
-        """
-        if self.pool is not None:
-            return self.pool
-        from repro.engine.pool import pool_enabled, shared_pool
-
-        if pool_enabled():
-            return shared_pool(self.graph, self.workers)
-        return None
-
     def query_key(self, query: BatchQuery):
-        """The exact result-cache key of ``query`` under this engine.
-
-        Public because the distributed coordinator performs its own
-        cache lookups before fanning pending work out to shards — the
-        key must be *the same function* the local engine uses, or the
-        tiers would disagree about what is warm.
-        """
+        """The exact result-cache key of ``query`` under this engine."""
         return result_key(
             self.fingerprint, query.source, query.target,
             query.samples, self.seed, query.max_hops,
         )
 
+    def _sweep_range(
+        self, groups, pending: np.ndarray, unique_count: int,
+        start: int, stop: int,
+    ) -> Tuple[np.ndarray, int]:
+        """The one chunk loop: hits and sweeps for worlds ``[start, stop)``.
+
+        Chunk boundaries fall at ``start + i * chunk_size``; per-chunk
+        int64 counts are summed here, in this thread.
+        """
+        hits = np.zeros(unique_count, dtype=np.int64)
+        sweeps = 0
+        for chunk_start in range(start, stop, self.chunk_size):
+            chunk_hits, chunk_sweeps = self.evaluate_chunk(
+                chunk_start, min(self.chunk_size, stop - chunk_start),
+                groups, pending, unique_count,
+            )
+            hits += chunk_hits
+            sweeps += chunk_sweeps
+        return hits, sweeps
+
+    def _sweep_pending(
+        self, plan, pending: np.ndarray, k_needed: int
+    ) -> Tuple[np.ndarray, int, int]:
+        """Sweep worlds ``[0, k_needed)`` for the plan's pending queries.
+
+        The seam for *where* a run's worlds are swept.  An attached
+        ``pool`` (or, for ``workers >= 2``, the registry pool of this
+        graph) partitions the range and runs :meth:`run_range`
+        elsewhere; otherwise — and whenever that pool turns out closed —
+        the chunk loop runs inline.  Returns ``(hits aligned with the
+        pending queries, sweeps, contributors)``.
+        """
+        from repro.engine.pool import PoolClosedError, shared_pool
+
+        pool = self.pool
+        if pool is None and self.workers > 1:
+            pool = shared_pool(self.graph, self.workers)
+        if pool is not None:
+            try:
+                return pool.evaluate(
+                    self,
+                    [plan.queries[index] for index in np.nonzero(pending)[0]],
+                    k_needed,
+                )
+            except PoolClosedError:
+                pass  # a closed pool is "no pool", not a failed run
+        groups = [
+            group
+            for group in plan.groups
+            if pending[group.query_indices].any()
+        ]
+        hits, sweeps = self._sweep_range(
+            groups, pending, plan.unique_count, 0, k_needed
+        )
+        return hits[pending], sweeps, 1
+
     def run(self, queries: Iterable[QueryLike]) -> BatchResult:
         """Answer a workload with the shared-world fast path.
 
-        Worlds stream in ``chunk_size`` blocks; each world is swept once
-        per ``(source, max_hops)`` group still holding unresolved queries.
-        Cached queries are served without sampling at all.  With
-        ``workers >= 2`` and more than one chunk, chunk ranges are
-        evaluated by a process pool and reduced here — bit-identical to
-        the in-process loop (see the determinism contract).
+        The only code that plans a workload, reads the result cache,
+        merges hit counts into estimates and writes them back.  Worlds
+        stream in ``chunk_size`` blocks; each world is swept once per
+        ``(source, max_hops)`` group still holding unresolved queries.
+        Cached queries are served without sampling at all.  *Where* the
+        pending worlds are swept — inline, a process pool, a shard tier
+        — is :meth:`_sweep_pending`'s business and cannot change a bit
+        (see the determinism contract).
         """
         started = time.perf_counter()
         plan = plan_queries(self.graph, queries)
@@ -525,56 +600,16 @@ class BatchEngine:
                 unique_estimates[index] = cached
 
         worlds = sweeps = 0
-        effective_workers = 1
+        contributors = 1
         if pending.any():
             budgets = np.asarray(
                 [query.samples for query in plan.queries], dtype=np.int64
             )
-            groups = [
-                group
-                for group in plan.groups
-                if pending[group.query_indices].any()
-            ]
-            k_needed = int(budgets[pending].max())
-            tasks = [
-                (chunk_start, min(self.chunk_size, k_needed - chunk_start))
-                for chunk_start in range(0, k_needed, self.chunk_size)
-            ]
-            hits = None
-            if self.workers > 1 and len(tasks) > 1:
-                effective_workers = min(self.workers, len(tasks))
-                pool = self._resolve_pool()
-                if pool is not None:
-                    from repro.engine.pool import PoolClosedError
-
-                    try:
-                        hits, sweeps = pool.evaluate(
-                            self, tasks, groups, pending, plan.unique_count,
-                        )
-                    except PoolClosedError:
-                        # A closed pool is "no pool", not a failure: the
-                        # run falls through to the per-run fork below.
-                        hits = None
-                if hits is None:
-                    from repro.engine.parallel import (
-                        evaluate_chunks_parallel,
-                    )
-
-                    hits, sweeps = evaluate_chunks_parallel(
-                        self, tasks, groups, pending, plan.unique_count,
-                        effective_workers,
-                    )
-            else:
-                hits = np.zeros(plan.unique_count, dtype=np.int64)
-                for chunk_start, count in tasks:
-                    chunk_hits, chunk_sweeps = self.evaluate_chunk(
-                        chunk_start, count, groups, pending,
-                        plan.unique_count,
-                    )
-                    hits += chunk_hits
-                    sweeps += chunk_sweeps
-            worlds = k_needed
-            unique_estimates[pending] = hits[pending] / budgets[pending]
+            worlds = int(budgets[pending].max())
+            hits, sweeps, contributors = self._sweep_pending(
+                plan, pending, worlds
+            )
+            unique_estimates[pending] = hits / budgets[pending]
             # One batched write for the whole run: the persistent cache
             # turns this into a single transaction (one fsync total,
             # however many queries the sweep resolved).
@@ -595,7 +630,7 @@ class BatchEngine:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             seconds=time.perf_counter() - started,
-            workers=effective_workers,
+            workers=contributors,
             # `pending` still marks this run's cache misses; its negation
             # is the per-unique-query provenance, scattered like estimates.
             from_cache=plan.scatter(~pending),
@@ -607,27 +642,27 @@ class BatchEngine:
     ) -> RangeResult:
         """Integer hit counts for worlds ``[start, stop)`` of a workload.
 
-        The range-restricted entry point the distributed shard tier is
-        built on: a shard evaluates only its assigned slice of the world
-        stream and returns per-query hit counts, which a coordinator
-        sums across shards.  Because world ``i`` is a pure function of
-        ``(graph, seed, i)`` and integer addition is associative, the
-        merged counts equal what one process sweeping ``[0, K)`` would
-        accumulate — bit for bit — however the range is partitioned,
-        retried, or re-dispatched.
+        The range-restricted entry point every off-thread sweep is built
+        on: a pool worker or a shard server evaluates only its assigned
+        slice of the world stream and returns per-query hit counts,
+        which the dispatching evaluator sums.  Because world ``i`` is a
+        pure function of ``(graph, seed, i)`` and integer addition is
+        associative, the merged counts equal what one process sweeping
+        ``[0, K)`` would accumulate — bit for bit — however the range
+        is partitioned, retried, or re-dispatched.
 
         Budgets clip the range exactly as in :meth:`run`: a query with
         ``samples <= start`` contributes zero hits here, and worlds at
         or beyond every budget are never materialised (``stop`` is
         clipped to the plan's largest budget).  The result cache is
         not consulted or written — raw counts for a partial range are
-        not estimates and have no cache identity.
+        not estimates and have no cache identity.  Always inline: a
+        range is already somebody's share of a fan-out.
 
-        Chunk boundaries fall at ``start + i * chunk_size``; when
-        ``start`` is chunk-aligned (the coordinator always aligns its
-        partitions) the union of ranges performs exactly the sweeps of
-        the single-process run, so even the ``sweeps`` counter merges
-        exactly.
+        When ``start`` is chunk-aligned (:func:`partition_ranges`
+        always aligns) the union of ranges performs exactly the sweeps
+        of the single-process run, so even the ``sweeps`` counter
+        merges exactly.
         """
         start = int(start)
         stop = int(stop)
@@ -638,17 +673,11 @@ class BatchEngine:
             )
         started = time.perf_counter()
         plan = plan_queries(self.graph, queries)
-        hits = np.zeros(plan.unique_count, dtype=np.int64)
-        pending = np.ones(plan.unique_count, dtype=bool)
         bounded_stop = min(stop, plan.k_max)
-        sweeps = 0
-        for chunk_start in range(start, bounded_stop, self.chunk_size):
-            count = min(self.chunk_size, bounded_stop - chunk_start)
-            chunk_hits, chunk_sweeps = self.evaluate_chunk(
-                chunk_start, count, plan.groups, pending, plan.unique_count
-            )
-            hits += chunk_hits
-            sweeps += chunk_sweeps
+        hits, sweeps = self._sweep_range(
+            plan.groups, np.ones(plan.unique_count, dtype=bool),
+            plan.unique_count, start, bounded_stop,
+        )
         return RangeResult(
             queries=tuple(plan.queries[i] for i in plan.assignment),
             hits=plan.scatter(hits),
@@ -732,6 +761,7 @@ __all__ = [
     "RangeResult",
     "BatchEngine",
     "estimate_workload",
+    "partition_ranges",
     "resolve_kernels",
     "resolve_workers",
 ]

@@ -32,9 +32,10 @@ property of the schedule, not of the answer.
 Selection: ``BatchEngine(kernels="vectorized")`` routes both sweep
 strategies through this module; ``kernels=None`` consults the
 ``REPRO_ENGINE_KERNELS`` environment variable and falls back to
-``"python"`` (the historical per-node kernels).  Worker processes — the
-per-run fan-out of :mod:`repro.engine.parallel` and the long-lived pool
-of :mod:`repro.engine.pool` — inherit the parent engine's choice.
+``"python"`` (the historical per-node kernels).  Range evaluators —
+the workers of :mod:`repro.engine.pool` and the shards of
+:mod:`repro.distributed` — are sent the dispatching engine's choice
+with every range.
 """
 
 from __future__ import annotations

@@ -1,51 +1,51 @@
-"""A long-lived, shared worker-process pool for engine chunk sweeps.
+"""A long-lived, shared worker-process pool: the process range evaluator.
 
-:mod:`repro.engine.parallel` forks one ``ProcessPoolExecutor`` per
-:meth:`~repro.engine.batch.BatchEngine.run` call — correct, but a served
-workload pays the pool spin-up *and* a full graph pickle on every
-request.  A :class:`WorkerPool` inverts the lifetimes: workers are
-forked **once** with the graph pre-loaded (the ``_initialise_worker``
-idiom of :mod:`repro.engine.parallel`, minus the per-run plan), live as
-long as their owner — one service, one pool, shared by every served
-engine run — and each request ships only its small frozen plan state
-plus ``(chunk_start, count)`` tasks.
+One of the two things a :class:`~repro.engine.batch.BatchEngine` can be
+handed as ``pool=`` (the other is a shard tier's
+:class:`~repro.distributed.coordinator.ShardCoordinator`); both have the
+same shape — partition ``[0, K)`` with
+:func:`~repro.engine.batch.partition_ranges`, run
+:meth:`~repro.engine.batch.BatchEngine.run_range` somewhere else, add
+the int64 hit counts.  Here "somewhere else" is a worker process forked
+**once** with the graph pre-loaded: workers live as long as their owner
+— one service, one pool, shared by every served engine run — and each
+run ships only its pending queries and one ``(start, stop)`` per range.
 
-Determinism is untouched: a pooled chunk evaluation calls the very same
-pure :meth:`~repro.engine.batch.BatchEngine.evaluate_chunk`, per-chunk
-hit counts are integers, and integer addition is associative — pooled,
-per-run-forked, and in-process sweeps agree **bit for bit** (the
-engine's determinism contract; hammer-tested in ``tests/serve``).
+Determinism is untouched: a worker sweeps its range with the very same
+:meth:`~repro.engine.batch.BatchEngine.run_range` a shard server (or the
+caller itself) would, per-range hit counts are integers, and integer
+addition is associative — pooled and in-process sweeps agree **bit for
+bit** (the engine's determinism contract; hammer-tested in
+``tests/serve``).
 
 Lifecycle:
 
 * **lazy start** — constructing a :class:`WorkerPool` forks nothing;
-  the executor spins up on the first :meth:`evaluate` (or
-  :meth:`healthy`) call;
+  the executor spins up on the first :meth:`evaluate` that has more
+  than one range to place (or a :meth:`healthy` call);
 * **health check** — :meth:`healthy` round-trips a ping task through a
   worker with a timeout;
 * **crashed-worker respawn** — a ``BrokenProcessPool`` (a worker died
   mid-task) discards the executor, re-forks, and retries the run once;
-  the retry is free because chunk tasks are pure;
+  the retry is free because range tasks are pure;
 * **graph-update rejection** — the pool is pinned to its graph's
   fingerprint at construction; dispatching an engine over any other
   graph raises instead of silently sweeping stale workers;
 * **clean shutdown** — :meth:`close` is idempotent; a closed pool makes
   :meth:`evaluate` raise :class:`PoolClosedError`, which the engine
-  treats as "no pool" and falls back to its other evaluation paths, so
-  closing a service never corrupts an in-flight request.
+  treats as "no pool" and sweeps inline, so closing a service never
+  corrupts an in-flight request.
 
-``REPRO_ENGINE_POOL=1`` routes *every* fanning-out engine run in the
-process through a module-level pool registry (:func:`shared_pool`),
-keyed by graph fingerprint — the switch the CI worker-pool leg flips to
-drive the whole test suite through pooled execution.
+An engine with ``workers >= 2`` and no attached pool borrows one from
+the module-level registry (:func:`shared_pool`), keyed by graph
+fingerprint — so ``REPRO_ENGINE_WORKERS=2`` drives a whole process (the
+CI pool leg: the whole test suite) through pooled execution.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -55,31 +55,21 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.graph import UncertainGraph
+from repro.engine.batch import BatchEngine, partition_ranges
 from repro.engine.cache import graph_fingerprint
+from repro.engine.plan import BatchQuery
 from repro.util.validation import check_positive
-
-#: Environment variable enabling the process-wide shared pool registry
-#: for engine runs that were not handed an explicit pool.
-POOL_ENV_VAR = "REPRO_ENGINE_POOL"
-
-#: Run states a worker keeps deserialised; above this, oldest-run state
-#: is dropped (and rebuilt from the task blob if that run resurfaces).
-_WORKER_STATE_CAPACITY = 8
 
 #: Pools the module-level registry keeps alive; above this, the least
 #: recently used pool is closed and evicted.
 _REGISTRY_CAPACITY = 4
 
-#: Process-unique run tokens; workers key their deserialised plan state
-#: on these, so interleaved runs on one pool never read each other's plan.
-_RUN_TOKENS = itertools.count(1)
-
 
 class PoolClosedError(RuntimeError):
     """Raised by :meth:`WorkerPool.evaluate` after :meth:`WorkerPool.close`.
 
-    Engines catch this and fall back to their non-pooled paths — a
-    closed pool means "no accelerator", never a failed request.
+    Engines catch this and sweep inline — a closed pool means "no
+    accelerator", never a failed request.
     """
 
 
@@ -87,53 +77,36 @@ class PoolClosedError(RuntimeError):
 # Worker-side plumbing (runs in the forked processes)
 # ----------------------------------------------------------------------
 
-# The graph is pinned once per worker by the initializer; per-run plan
-# state arrives with the tasks and is cached by run token, so a run
-# deserialises its plan once per worker, not once per chunk.
+# Pinned once per worker by the initializer; the graph never travels again.
 _WORKER_GRAPH = None
-_WORKER_STATES: "OrderedDict" = OrderedDict()
 
 
 def _initialise_worker(graph) -> None:
-    """Pin the pool's graph in this worker; plans arrive per run."""
+    """Pin the pool's graph in this worker; everything else arrives per range."""
     global _WORKER_GRAPH
     _WORKER_GRAPH = graph
-    _WORKER_STATES.clear()
 
 
-def _worker_run_state(token: int, blob: bytes):
-    state = _WORKER_STATES.get(token)
-    if state is None:
-        from repro.engine.batch import BatchEngine
-
-        (
-            seed, chunk_size, sweep, kernels, groups, pending, unique_count,
-        ) = pickle.loads(blob)
-        engine = BatchEngine(
-            _WORKER_GRAPH,
-            seed=seed,
-            chunk_size=chunk_size,
-            sweep=sweep,
-            kernels=kernels,
-            workers=1,  # workers never nest pools
-            cache_capacity=1,  # the parent owns the real result cache
-        )
-        state = (engine, groups, pending, unique_count)
-        _WORKER_STATES[token] = state
-        while len(_WORKER_STATES) > _WORKER_STATE_CAPACITY:
-            _WORKER_STATES.popitem(last=False)
-    return state
-
-
-def _evaluate_pooled(
-    token: int, blob: bytes, chunk_start: int, count: int
+def _run_range(
+    stream: Tuple[int, int, str, str],
+    queries: Sequence[BatchQuery],
+    start: int,
+    stop: int,
 ) -> Tuple[np.ndarray, int]:
-    """Worker-side task: evaluate one chunk range for one run's plan."""
+    """Worker-side task: ``run_range`` on an engine over the pinned graph."""
     assert _WORKER_GRAPH is not None, "pool worker used before initialisation"
-    engine, groups, pending, unique_count = _worker_run_state(token, blob)
-    return engine.evaluate_chunk(
-        chunk_start, count, groups, pending, unique_count
+    seed, chunk_size, sweep, kernels = stream
+    engine = BatchEngine(
+        _WORKER_GRAPH,
+        seed=seed,
+        chunk_size=chunk_size,
+        sweep=sweep,
+        kernels=kernels,
+        workers=1,  # workers never nest pools
+        cache_capacity=1,  # the parent owns the real result cache
     )
+    result = engine.run_range(queries, start, stop)
+    return result.hits, result.sweeps
 
 
 def _ping() -> int:
@@ -229,20 +202,18 @@ class WorkerPool:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(
-        self,
-        engine,
-        tasks: Sequence[Tuple[int, int]],
-        groups,
-        pending: np.ndarray,
-        unique_count: int,
-    ) -> Tuple[np.ndarray, int]:
-        """Fan ``tasks`` out over the pooled workers for one engine run.
+        self, engine: BatchEngine, queries: Sequence[BatchQuery], k_needed: int
+    ) -> Tuple[np.ndarray, int, int]:
+        """Hit counts for worlds ``[0, k_needed)``, fanned across workers.
 
-        Returns ``(hits, sweeps)`` summed over all chunks — the same
-        int64 totals the serial loop accumulates.  The plan is
-        serialised once here and cached worker-side by run token; each
-        task then costs one small tuple on the wire (the graph never
-        travels — it was shipped at fork).
+        The range-evaluator contract (shared with
+        :meth:`~repro.distributed.coordinator.ShardCoordinator.evaluate`):
+        ``queries`` are the run's pending unique queries, ``engine``
+        supplies the stream identity; returns ``(hits, sweeps,
+        contributors)`` with int64 ``hits`` aligned with ``queries``.
+        The range is split ``engine.workers`` ways; with nothing to
+        split (one chunk, or a one-worker engine) it is swept here —
+        shipping a lone range would buy latency, not parallelism.
         """
         if engine.fingerprint != self.fingerprint:
             raise ValueError(
@@ -250,60 +221,58 @@ class WorkerPool:
                 "was forked for a different fingerprint); build a new "
                 "pool after a graph update"
             )
-        blob = pickle.dumps(
-            (
-                engine.seed, engine.chunk_size, engine.sweep, engine.kernels,
-                groups, pending, unique_count,
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        ranges = partition_ranges(k_needed, engine.chunk_size, engine.workers)
+        if len(ranges) < 2:
+            result = engine.run_range(queries, 0, k_needed)
+            return result.hits, result.sweeps, 1
+        stream = (engine.seed, engine.chunk_size, engine.sweep, engine.kernels)
         try:
-            return self._dispatch(
-                self._ensure_started(), blob, tasks, unique_count
+            hits, sweeps = self._dispatch(
+                self._ensure_started(), stream, queries, ranges
             )
         except BrokenProcessPool as error:
             self._respawn(error.__self_executor__)
-            # One deterministic retry on fresh workers: chunk tasks are
+            # One deterministic retry on fresh workers: range tasks are
             # pure, so re-evaluating them cannot change any result.
-            return self._dispatch(
-                self._ensure_started(), blob, tasks, unique_count
+            hits, sweeps = self._dispatch(
+                self._ensure_started(), stream, queries, ranges
             )
+        return hits, sweeps, len(ranges)
 
     def _dispatch(
         self,
         executor: ProcessPoolExecutor,
-        blob: bytes,
-        tasks: Sequence[Tuple[int, int]],
-        unique_count: int,
+        stream: Tuple[int, int, str, str],
+        queries: Sequence[BatchQuery],
+        ranges: Sequence[Tuple[int, int]],
     ) -> Tuple[np.ndarray, int]:
-        token = next(_RUN_TOKENS)
         try:
             futures = [
-                executor.submit(_evaluate_pooled, token, blob, start, count)
-                for start, count in tasks
+                executor.submit(_run_range, stream, queries, start, stop)
+                for start, stop in ranges
             ]
         except RuntimeError as error:
             if self._closed:  # close() raced the submit loop
                 raise PoolClosedError("worker pool is closed") from None
             raise self._tag(error, executor)
-        hits = np.zeros(unique_count, dtype=np.int64)
+        hits = np.zeros(len(queries), dtype=np.int64)
         sweeps = 0
         try:
             for future in futures:
-                chunk_hits, chunk_sweeps = future.result()
-                hits += chunk_hits
-                sweeps += chunk_sweeps
+                range_hits, range_sweeps = future.result()
+                hits += range_hits
+                sweeps += range_sweeps
         except BaseException as error:
-            # A failure mid-fan-out must not leave the remaining chunks
+            # A failure mid-fan-out must not leave the remaining ranges
             # running: cancel whatever has not started, then propagate.
             for future in futures:
                 future.cancel()
             if isinstance(error, CancelledError) and self._closed:
                 # close(cancel_futures=True) raced an in-flight run: the
-                # queued chunks were cancelled under us.  That is the
+                # queued ranges were cancelled under us.  That is the
                 # pool going away, not a failed computation — surface it
-                # as PoolClosedError so the engine re-evaluates via its
-                # per-run fallback instead of erroring the request.
+                # as PoolClosedError so the engine re-sweeps inline
+                # instead of erroring the request.
                 raise PoolClosedError("worker pool is closed") from None
             raise self._tag(error, executor)
         with self._lock:
@@ -337,20 +306,13 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# The env-driven process-wide registry
+# The process-wide registry
 # ----------------------------------------------------------------------
 
 _REGISTRY: "OrderedDict[bytes, WorkerPool]" = (  # guarded-by: _REGISTRY_LOCK
     OrderedDict()
 )
 _REGISTRY_LOCK = threading.Lock()
-
-
-def pool_enabled() -> bool:
-    """Whether ``REPRO_ENGINE_POOL`` asks for shared pools by default."""
-    return os.environ.get(POOL_ENV_VAR, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 def shared_pool(graph: UncertainGraph, workers: int) -> WorkerPool:
@@ -391,10 +353,8 @@ atexit.register(close_shared_pools)
 
 
 __all__ = [
-    "POOL_ENV_VAR",
     "PoolClosedError",
     "WorkerPool",
-    "pool_enabled",
     "shared_pool",
     "close_shared_pools",
 ]

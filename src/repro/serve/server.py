@@ -67,10 +67,10 @@ stateful estimator serialise (per method).  When the service is
 configured with ``workers > 1`` it also owns one long-lived
 :class:`~repro.engine.pool.WorkerPool` — pre-forked with the graph
 loaded — that every served engine run shares, so multi-worker requests
-dispatch ``(chunk_start, count)`` tasks instead of re-forking and
-re-pickling the graph per request.  The engine's determinism contract
+dispatch world ranges to standing workers and the graph is pickled
+once, at fork.  The engine's determinism contract
 makes concurrent identical requests **bit-identical** however the
-threads interleave or the pool schedules chunks (hammer-tested in
+threads interleave or the pool schedules ranges (hammer-tested in
 ``tests/serve``).
 """
 

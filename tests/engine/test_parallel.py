@@ -1,15 +1,13 @@
-"""Property tests for the multiprocess chunk sweep.
+"""Property tests for the multiprocess range sweep (``workers >= 2``).
 
 The engine's headline guarantee (see the determinism contract in
 :mod:`repro.engine.batch`): because world ``i`` is a pure function of
-``(graph, seed, i)`` and per-chunk hit counts are integers, fanning chunk
-ranges out over a process pool cannot change a single bit of any result.
-These tests pin that down for random plans, chunk sizes, seeds, worker
-counts, and d-hop bounds.
+``(graph, seed, i)`` and per-range hit counts are integers, fanning world
+ranges out over the registry's process pool cannot change a single bit of
+any result.  These tests pin that down for random plans, chunk sizes,
+seeds, worker counts, and d-hop bounds.  (Failure paths of the pool
+itself live in ``test_pool.py``.)
 """
-
-import multiprocessing
-import time
 
 import numpy as np
 import pytest
@@ -17,11 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimators.monte_carlo import MonteCarloEstimator
-from repro.engine import parallel as parallel_module
 from repro.engine.batch import WORKERS_ENV_VAR, BatchEngine, resolve_workers
 from repro.engine.cache import ResultCache
-from repro.engine.parallel import ParallelBatchEngine, default_worker_count
-from repro.engine.pool import POOL_ENV_VAR
 from tests.conftest import random_graph
 
 #: Mixed workload: duplicates, shared sources, distinct budgets, and d-hop
@@ -191,96 +186,12 @@ class TestConfiguration:
         monkeypatch.setenv(WORKERS_ENV_VAR, "")
         assert BatchEngine(graph).workers == 1
 
-    def test_garbage_env_var_names_its_source(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_garbage_env_var_names_its_source(self, monkeypatch, raw):
+        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR) as excinfo:
             resolve_workers(None)
-
-    def test_parallel_engine_defaults_to_cpu_count(self, graph):
-        engine = ParallelBatchEngine(graph, seed=5)
-        assert isinstance(engine, BatchEngine)
-        assert engine.workers == default_worker_count()
-        assert ParallelBatchEngine(graph, workers=2).workers == 2
-
-    def test_parallel_engine_result_matches_batch_engine(self, graph):
-        reference = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
-        result = ParallelBatchEngine(graph, seed=5, chunk_size=64).run(
-            WORKLOAD
-        )
-        np.testing.assert_array_equal(reference.estimates, result.estimates)
-
-
-class ChunkBoom(RuntimeError):
-    """Marker raised inside a worker to simulate a mid-fan-out failure."""
-
-
-_REAL_EVALUATE_RANGE = parallel_module._evaluate_range
-
-
-def _exploding_range(task):
-    # Module-level so it pickles by reference into forked workers; the
-    # captured original keeps the non-failing chunks honest.
-    chunk_start, _count = task
-    if chunk_start == 0:
-        raise ChunkBoom("chunk 0 exploded")
-    return _REAL_EVALUATE_RANGE(task)
-
-
-class TestFanOutFailure:
-    """Regression: a chunk failing mid-fan-out used to strand the pool.
-
-    Before the submit+cancel rewrite, ``evaluate_chunks_parallel`` ran
-    ``pool.map`` inside the executor context, so the context exit's
-    ``shutdown(wait=True)`` sat through every still-queued chunk before
-    the error could propagate — leaking a pool's worth of doomed work
-    (and its worker processes) past the failure.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _no_shared_pool(self, monkeypatch):
-        # Pin the per-run fork path: the shared pool dispatches a
-        # different worker entry point and has its own failure tests.
-        monkeypatch.delenv(POOL_ENV_VAR, raising=False)
-        monkeypatch.setattr(
-            parallel_module, "_evaluate_range", _exploding_range
-        )
-
-    def test_failure_propagates_with_original_type_and_reaps_workers(
-        self, graph
-    ):
-        baseline = {child.pid for child in multiprocessing.active_children()}
-        engine = BatchEngine(graph, seed=5, chunk_size=16, workers=2)
-        # Repeated failing runs must neither mask the error nor
-        # accumulate worker processes.
-        for _ in range(3):
-            with pytest.raises(ChunkBoom, match="chunk 0 exploded"):
-                engine.run([(0, 3, 2_000)])
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                leaked = {
-                    child.pid
-                    for child in multiprocessing.active_children()
-                } - baseline
-                if not leaked:
-                    break
-                time.sleep(0.05)
-            assert not leaked, f"fan-out leaked worker processes: {leaked}"
-
-    def test_failed_run_leaves_engine_reusable(self, graph):
-        engine = BatchEngine(graph, seed=5, chunk_size=16, workers=2)
-        with pytest.raises(ChunkBoom):
-            engine.run([(0, 3, 2_000)])
-        # Restore the real chunk evaluator: the same engine must still
-        # produce bit-identical results after a failed fan-out.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                parallel_module, "_evaluate_range", _REAL_EVALUATE_RANGE
-            )
-            recovered = engine.run(WORKLOAD)
-        serial = BatchEngine(graph, seed=5, chunk_size=16, workers=1).run(
-            WORKLOAD
-        )
-        np.testing.assert_array_equal(recovered.estimates, serial.estimates)
+        assert repr(raw) in str(excinfo.value)
 
 
 class TestEstimatorIntegration:

@@ -1,26 +1,29 @@
-"""Lifecycle and conformance tests for the shared worker pool.
+"""Lifecycle, failure-path and conformance tests for the worker pool.
 
 The pool is an *accelerator*, never a correctness dependency: every test
 here pins either a lifecycle transition (lazy start, respawn after a
-worker crash, idempotent close, graph-update rejection) or the bit-for-bit
-agreement between pooled and in-process evaluation that the engine's
-determinism contract promises.
+worker crash, idempotent close, graph-update rejection), a failure path
+(a range raising inside a worker, a pool closed before or during a run)
+or the bit-for-bit agreement between pooled and in-process evaluation
+that the engine's determinism contract promises.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
+from repro.engine.plan import BatchQuery
 from repro.engine.pool import (
-    POOL_ENV_VAR,
     PoolClosedError,
     WorkerPool,
     close_shared_pools,
-    pool_enabled,
     shared_pool,
 )
 from tests.conftest import random_graph
@@ -111,13 +114,34 @@ class TestLifecycle:
         pool.close()
         with pytest.raises(PoolClosedError):
             pool.evaluate(
-                BatchEngine(graph, seed=5), [(0, 1)], (), np.zeros(0, bool), 0
+                BatchEngine(graph, seed=5, chunk_size=64, workers=2),
+                [BatchQuery(0, 3, 400)],
+                400,
             )
         # The engine treats the closed pool as "no pool": the run still
-        # completes (per-run fork path) with bit-identical results.
+        # completes (inline loop) with bit-identical results, and no
+        # worker process is ever forked for it.
         serial = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
         fallback = run_pooled(graph, pool)
         np.testing.assert_array_equal(fallback.estimates, serial.estimates)
+        assert fallback.sweeps == serial.sweeps
+        assert fallback.workers == 1  # nobody but this thread swept
+        assert not pool.started
+
+    def test_nothing_to_split_never_starts_the_pool(self, graph):
+        # One chunk, or a one-worker engine: a lone range stays here.
+        with WorkerPool(graph, workers=2) as pool:
+            single_chunk = BatchEngine(
+                graph, seed=5, chunk_size=1000, workers=2, pool=pool
+            ).run(WORKLOAD)
+            one_worker = BatchEngine(
+                graph, seed=5, chunk_size=64, workers=1, pool=pool
+            ).run(WORKLOAD)
+            assert not pool.started
+        serial = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
+        for result in (single_chunk, one_worker):
+            np.testing.assert_array_equal(result.estimates, serial.estimates)
+            assert result.workers == 1
 
     def test_graph_update_rejected(self, graph, pool):
         other = random_graph(seed=12, node_count=12, edge_probability=0.25)
@@ -143,15 +167,6 @@ class TestSharedRegistry:
         yield
         close_shared_pools()
 
-    def test_pool_enabled_env(self, monkeypatch):
-        monkeypatch.delenv(POOL_ENV_VAR, raising=False)
-        assert not pool_enabled()
-        for value in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(POOL_ENV_VAR, value)
-            assert pool_enabled()
-        monkeypatch.setenv(POOL_ENV_VAR, "0")
-        assert not pool_enabled()
-
     def test_same_graph_shares_one_pool(self, graph):
         first = shared_pool(graph, workers=2)
         second = shared_pool(graph, workers=4)
@@ -168,17 +183,149 @@ class TestSharedRegistry:
         assert second is not first
         assert not second.closed
 
-    def test_env_var_routes_engine_runs_through_registry(
-        self, graph, monkeypatch
+    def test_multi_worker_engine_without_a_pool_borrows_the_registry(
+        self, graph
     ):
-        monkeypatch.setenv(POOL_ENV_VAR, "1")
-        serial = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
+        serial = BatchEngine(graph, seed=5, chunk_size=64, workers=1).run(
+            WORKLOAD
+        )
         pooled = BatchEngine(graph, seed=5, chunk_size=64, workers=2).run(
             WORKLOAD
         )
         np.testing.assert_array_equal(pooled.estimates, serial.estimates)
         registry_pool = shared_pool(graph, workers=2)
-        assert registry_pool.statistics()["runs"] >= 1
+        assert registry_pool.statistics()["runs"] == 1
+
+
+class RangeBoom(RuntimeError):
+    """Marker raised inside a worker to simulate a mid-fan-out failure."""
+
+
+#: Only a workload carrying this budget explodes, so one forked pool can
+#: serve a failing run and then an honest one.
+DOOMED_SAMPLES = 2_000
+
+_REAL_RUN_RANGE = pool_module._run_range
+
+
+def _exploding_run_range(stream, queries, start, stop):
+    # Module-level so it pickles by reference into the forked workers; the
+    # captured original keeps every other range honest.
+    if start == 0 and queries[0].samples == DOOMED_SAMPLES:
+        raise RangeBoom("range 0 exploded")
+    return _REAL_RUN_RANGE(stream, queries, start, stop)
+
+
+def _slow_run_range(stream, queries, start, stop):
+    time.sleep(0.3)
+    return _REAL_RUN_RANGE(stream, queries, start, stop)
+
+
+class TestFanOutFailure:
+    """A range failing (or the pool vanishing) mid-fan-out.
+
+    Ported from the per-run fork's regression suite: the error must
+    reach the caller with its original type, queued ranges must not run
+    on, no process beyond the pool's own workers may be left behind —
+    and, new with a long-lived executor, the *same* pool must answer the
+    next run bit-identically.
+    """
+
+    def test_worker_exception_propagates_and_pool_survives(
+        self, graph, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "_run_range", _exploding_run_range)
+        baseline = {child.pid for child in multiprocessing.active_children()}
+        with WorkerPool(graph, workers=2) as pool:
+            # 8 ranges over 2 workers: most are still queued when range 0
+            # raises, so the cancellation path really has work to cancel.
+            engine = BatchEngine(
+                graph, seed=5, chunk_size=16, workers=8, pool=pool
+            )
+            for _ in range(3):
+                with pytest.raises(RangeBoom, match="range 0 exploded"):
+                    engine.run([(0, 3, DOOMED_SAMPLES)])
+            pids = set(pool.worker_pids())
+            assert len(pids) == 2
+            # Repeated failures neither respawn nor accumulate processes.
+            children = {
+                child.pid for child in multiprocessing.active_children()
+            }
+            assert children - baseline == pids
+            assert pool.statistics()["respawns"] == 0
+            assert pool.statistics()["runs"] == 0  # failed runs don't count
+            # The same workers then answer an honest run bit-identically.
+            recovered = BatchEngine(
+                graph, seed=5, chunk_size=16, workers=2, pool=pool
+            ).run(WORKLOAD)
+            assert set(pool.worker_pids()) == pids
+        # workers=1 explicitly: under REPRO_ENGINE_WORKERS the reference
+        # must not fork a registry pool into the process census below.
+        serial = BatchEngine(graph, seed=5, chunk_size=16, workers=1).run(
+            WORKLOAD
+        )
+        np.testing.assert_array_equal(recovered.estimates, serial.estimates)
+        assert recovered.sweeps == serial.sweeps
+        _wait_for_no_children_beyond(baseline)
+
+    def test_queued_ranges_are_cancelled_on_failure(self, graph, monkeypatch):
+        monkeypatch.setattr(pool_module, "_run_range", _exploding_run_range)
+        with WorkerPool(graph, workers=1) as pool:
+            executor = pool._ensure_started()
+            submitted = []
+            real_submit = executor.submit
+
+            def recording_submit(*args, **kwargs):
+                future = real_submit(*args, **kwargs)
+                submitted.append(future)
+                return future
+
+            monkeypatch.setattr(executor, "submit", recording_submit)
+            engine = BatchEngine(
+                graph, seed=5, chunk_size=16, workers=64, pool=pool
+            )
+            with pytest.raises(RangeBoom):
+                engine.run([(0, 3, DOOMED_SAMPLES)])
+            assert len(submitted) == 64
+            # One worker, range 0 fails first: the tail of the queue never
+            # started and must have been cancelled, not left to run on.
+            assert any(future.cancelled() for future in submitted)
+            assert all(future.done() for future in submitted[-8:])
+
+    def test_pool_closed_mid_run_completes_inline(self, graph, monkeypatch):
+        monkeypatch.setattr(pool_module, "_run_range", _slow_run_range)
+        serial = BatchEngine(graph, seed=5, chunk_size=16).run(WORKLOAD)
+        pool = WorkerPool(graph, workers=1)
+        assert pool.healthy()
+        # 25 slow ranges on one worker: close() lands while most of the
+        # run is still queued and cancels it under the engine.
+        engine = BatchEngine(
+            graph, seed=5, chunk_size=16, workers=64, pool=pool
+        )
+        closer = threading.Timer(0.4, pool.close)
+        closer.start()
+        try:
+            result = engine.run(WORKLOAD)
+        finally:
+            closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert pool.closed
+        np.testing.assert_array_equal(result.estimates, serial.estimates)
+        assert result.sweeps == serial.sweeps
+        assert result.workers == 1  # the inline loop finished the job
+        assert pool.statistics()["runs"] == 0
+
+
+def _wait_for_no_children_beyond(baseline, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        leaked = {
+            child.pid for child in multiprocessing.active_children()
+        } - baseline
+        if not leaked or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    assert not leaked, f"pool left worker processes behind: {leaked}"
 
 
 class TestRespawnTiming:
