@@ -31,10 +31,11 @@ actually run in parallel:
 * a short **prepare lock** covers lazy estimator construction only —
   each method's index is built exactly once, and the estimator map is
   published copy-on-write so readers never need the lock;
-* every engine-backed request (``estimate_batch`` on an engine-path
-  method, ``warm``) builds its own cheap :class:`BatchEngine` and runs
-  it **outside any service lock** — concurrent runs share only the
-  internally thread-safe result cache;
+* every engine a request touches — ``estimate_batch`` on an
+  engine-path method, ``warm``, the inner batches of ``prob_tree`` — is
+  a cheap per-run :class:`BatchEngine` from the one factory
+  (:meth:`ReliabilityService._engine`), which takes no service lock —
+  concurrent runs share only the internally thread-safe result cache;
 * ``topk`` and ``bounds`` build all their state per call, so they run
   unlocked too;
 * calls into a *shared, stateful* estimator instance (``estimate``, and
@@ -56,6 +57,7 @@ conformance tests in ``tests/api`` pin the equivalence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from typing import Dict, List, Optional, Tuple, Type
@@ -110,13 +112,13 @@ from repro.engine.cache import (
     graph_fingerprint,
     open_result_cache,
 )
-from repro.engine.pool import WorkerPool
+from repro.engine.pool import close_shared_pools, registered_pool
 from repro.queries.top_k import top_k_reliable_targets
 from repro.routing import AdaptiveRouter, QueryTelemetry, RoutingDecision
 from repro.util.rng import stable_substream
 
-#: Batch-path tags with an engine or grouped fast path (``workers`` /
-#: ``cache_dir`` are honoured there; the per-query loop ignores both).
+#: Batch-path tags with an engine or grouped fast path (``workers`` is
+#: honoured there; the per-query loop builds no engine to hand it to).
 FAST_BATCH_PATHS = ("engine", "bag_grouped")
 
 #: The pseudo-method that routes through the adaptive router: a request
@@ -158,21 +160,29 @@ class ReliabilityService:
         Default sweep kernels (``"python"`` or ``"vectorized"``, see
         :mod:`repro.engine.kernels`) for served engine runs; a request
         may override per call.  Bit-identical either way.
+    evaluator:
+        Where engine-backed ``/v1/batch`` runs sweep their pending
+        worlds: any range evaluator (``BatchEngine(pool=...)``), e.g. a
+        shard tier's :class:`~repro.distributed.coordinator.
+        ShardCoordinator`; its ``mode`` attribute, when it has one, is
+        the ``engine.mode`` those batches report.  ``None`` leaves it to
+        the engine (inline, or the process pool for multi-worker runs).
 
-    Multi-process requests share **one** long-lived
-    :class:`~repro.engine.pool.WorkerPool`: the first engine run that
-    fans out forks the workers (graph shipped once, at fork), and every
-    later run — any request thread, any seed — dispatches its world
-    ranges to the same processes.  The pool dies with the service
-    (:meth:`close`); a run that catches the pool closing sweeps inline
-    instead, so shutdown never corrupts an in-flight request.
+    The service owns no worker pool.  Multi-process runs borrow the
+    process-wide one registered for their graph's fingerprint
+    (:func:`~repro.engine.pool.shared_pool`): the first run that fans
+    out forks the workers (graph shipped once, at fork), every later run
+    over that graph version dispatches to the same processes.
+    :meth:`update` retires the predecessor's pool and :meth:`close` the
+    current graph's; a run that catches its pool closing sweeps inline
+    instead, so neither can corrupt an in-flight request.
     """
 
     #: Every endpoint name, fixed so the counter dict never resizes —
     #: read off the one endpoint table in :mod:`repro.api.types`.
     ENDPOINTS = tuple(endpoint.name for endpoint in ENDPOINT_TABLE)
 
-    # lock-order: _update_lock -> _prepare_lock -> _counts_lock -> _pool_lock
+    # lock-order: _update_lock -> _prepare_lock -> _counts_lock
 
     def __init__(
         self,
@@ -185,6 +195,7 @@ class ReliabilityService:
         workers: Optional[int] = None,
         kernels: Optional[str] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
+        evaluator=None,
     ) -> None:
         if not isinstance(graph, UncertainGraph):
             raise GraphLoadError(
@@ -209,9 +220,7 @@ class ReliabilityService:
                 f"known: {', '.join(KERNEL_MODES)}"
             )
         self.kernels = kernels
-        #: The one shared worker pool (lazily built by :meth:`_engine`).
-        self._pool: Optional[WorkerPool] = None  # guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
+        self.evaluator = evaluator
         self._cache: ResultCache = (
             open_result_cache(self.cache_dir, capacity=cache_capacity)
             if self.cache_dir is not None
@@ -308,12 +317,10 @@ class ReliabilityService:
         before closing, as ``serve()`` does via ``server_close()``.
         """
         self._closed = True
-        pool = self._pool
-        if pool is not None:
-            # Waits for running range tasks, cancels queued ones; a run
-            # mid-dispatch sees PoolClosedError and sweeps inline, so
-            # its estimates still come out correct.
-            pool.close()
+        # Waits for running range tasks, cancels queued ones; a run
+        # mid-dispatch sees PoolClosedError and sweeps inline, so its
+        # estimates still come out correct.
+        close_shared_pools(self.graph)
         close = getattr(self._cache, "close", None)
         if close is not None:
             close()  # the cache serialises itself against in-flight I/O
@@ -528,92 +535,46 @@ class ReliabilityService:
         )
         return dataclasses.replace(request, method=decision.method), decision
 
-    def _shared_pool(
-        self, graph: UncertainGraph, workers: int
-    ) -> Optional[WorkerPool]:
-        """The service's one worker pool, pinned to ``graph``'s version.
-
-        Sized by the first run that needs it (the service-level
-        ``workers`` when set); later runs share it whatever their own
-        ``workers`` value — pool size is a wall-clock lever, and the
-        determinism contract keeps every interleaving bit-identical.
-        Construction forks nothing (the pool starts lazily).
-
-        Workers fork with one frozen graph, so the pool is useless the
-        moment an update lands: a pool pinned to a *different*
-        fingerprint than the current service graph is swapped out and
-        closed here (the respawn half of the update lifecycle —
-        :meth:`update` does the close half for pools it retires).  A run
-        against a graph that is no longer ``self.graph`` (it resolved
-        its engine just before an update swapped versions) gets ``None``
-        — its engine borrows the process-wide registry pool of that
-        version instead; stale versions never recruit the service's pool.
-        """
-        fingerprint = graph_fingerprint(graph)
-        stale = None
-        with self._pool_lock:
-            pool = self._pool
-            if (
-                pool is not None
-                and not pool.closed
-                and pool.fingerprint == fingerprint
-            ):
-                return pool
-            if graph is not self.graph:
-                return None
-            stale, pool = pool, WorkerPool(graph, workers)
-            self._pool = pool
-        if stale is not None:
-            stale.close()
-        return pool
-
     def _engine(
         self,
+        graph: UncertainGraph,
+        *,
         seed: int,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
         kernels: Optional[str] = None,
         pool=None,
     ) -> BatchEngine:
-        """An engine over the service's graph sharing the service cache.
+        """The engine factory: every engine a request touches is built here.
 
-        Engines are cheap (the graph fingerprint is memoised); the
-        expensive state — sampled results and forked workers — lives in
-        the shared cache and the shared pool, which is what a
-        long-lived service actually amortises.
+        The one place a served engine gets its result cache (always the
+        service's), its range evaluator, kernels, chunk size and worker
+        count — a request's own value where it carries one, else the
+        service default.  ``graph`` is the caller's snapshot: the live
+        graph for ``/v1/batch`` and ``warm`` (read **once** per request,
+        so a concurrent :meth:`update` cannot split a run across two
+        versions), a lifted query graph for ``prob_tree``'s inner
+        batches — estimator fast paths receive this method as their
+        ``engine=`` factory.  Cache keys and process pools are both keyed
+        by the graph's own fingerprint, so any graph may come through.
 
-        The graph is snapshot **once**: a concurrent :meth:`update`
-        swapping ``self.graph`` mid-call cannot hand this run a pool
-        forked for one version and an engine over another.  ``pool``
-        names the run's range evaluator outright (see
-        :meth:`_batch_evaluator`); otherwise multi-worker runs get the
-        service's shared pool.
+        Engines are cheap (the fingerprint is memoised); the expensive
+        state — sampled results and forked workers — lives in the shared
+        cache and the fingerprint-keyed pool registry.  ``pool`` names
+        the run's range evaluator outright (see ``evaluator``);
+        otherwise multi-worker engines borrow the registry's pool.
         """
-        graph = self.graph
-        resolved = resolve_workers(
-            self.workers if workers is None else workers
-        )
-        if pool is None and resolved > 1 and not self._closed:
-            pool = self._shared_pool(graph, resolved)
         return BatchEngine(
             graph,
             seed=seed,
             chunk_size=self.chunk_size if chunk_size is None else chunk_size,
-            workers=resolved,
+            workers=resolve_workers(
+                self.workers if workers is None else workers
+            ),
             kernels=self.kernels if kernels is None else kernels,
             pool=pool,
             cache=self._cache,
         )
-
-    def _batch_evaluator(self):
-        """Where engine-backed ``/v1/batch`` runs sweep pending worlds.
-
-        ``None`` leaves it to the engine (inline, or the shared pool for
-        multi-worker runs); a shard tier returns its coordinator.  The
-        evaluator's ``mode`` attribute, when it has one, is the
-        ``engine.mode`` those batches report.
-        """
-        return None
 
     def _cache_report(self) -> Optional[Dict[str, int]]:
         return self._cache.statistics() if self.persistent else None
@@ -701,14 +662,30 @@ class ReliabilityService:
             routing=routing,
         )
 
-    def _validate_batch(
-        self, request: BatchRequest, batch_path: str
+    @classmethod
+    def check_batch_request(
+        cls, request: BatchRequest, *, persistent: bool = False
     ) -> None:
-        """Semantic guards shared by every transport (API-phrased)."""
-        engine_backed = batch_path == "engine"
-        has_fast_path = batch_path in FAST_BATCH_PATHS
-        self._check_positive(request.workers, "workers")
-        self._check_positive(request.chunk_size, "chunk_size")
+        """Every rule of a batch request that needs no graph.
+
+        The one statement of these rules, for every transport:
+        :meth:`estimate_batch` applies them to each request, and an
+        adapter may call this before any dataset is loaded to fail fast
+        (``repro batch`` does).  ``persistent`` says whether the
+        answering service persists results.  ``method="auto"`` has no
+        batch path until the router resolves it, so the path-keyed rules
+        treat it as engine-capable; ``estimate_batch`` checks again
+        against the routed method.
+        """
+        batch_path = (
+            None
+            if request.method == AUTO_METHOD
+            else cls.batch_path_of(request.method)
+        )
+        engine_backed = batch_path in (None, "engine")
+        has_fast_path = batch_path is None or batch_path in FAST_BATCH_PATHS
+        for name in ("workers", "chunk_size", "samples", "max_hops"):
+            cls._check_positive(getattr(request, name), name)
         if request.sequential and request.method != "mc":
             raise InvalidQueryError(
                 "sequential evaluation is the per-query engine oracle; "
@@ -738,7 +715,7 @@ class ReliabilityService:
                     "it applies only to the engine-backed methods "
                     "('mc', 'bfs_sharing')"
                 )
-        if request.sequential and self.persistent:
+        if request.sequential and persistent:
             raise InvalidQueryError(
                 "the sequential oracle bypasses the result cache by "
                 "design; this service persists results — submit the "
@@ -749,6 +726,14 @@ class ReliabilityService:
                 "the sequential oracle re-materialises worlds per query "
                 "in-process; workers applies only to the shared-world "
                 "sweep"
+            )
+        if not engine_backed and (
+            request.max_hops is not None
+            or any(spec.max_hops is not None for spec in request.queries)
+        ):
+            raise InvalidQueryError(
+                "hop-bounded (max_hops) queries need the shared-world "
+                "engine; use method 'mc' or 'bfs_sharing'"
             )
 
     def estimate_batch(self, request: BatchRequest) -> BatchResponse:
@@ -765,38 +750,30 @@ class ReliabilityService:
         dispatch, so validation, the batch path, and every estimate are
         those of the routed method — bit-identical to naming it.
         """
-        fingerprint = graph_fingerprint(self.graph)
+        graph = self.graph
+        fingerprint = graph_fingerprint(graph)
         request, decision = self._resolve_auto_batch(request)
         routing = None if decision is None else decision.to_dict()
         batch_path = self.batch_path_of(request.method)
-        self._validate_batch(request, batch_path)
+        self.check_batch_request(request, persistent=self.persistent)
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
-        engine_backed = batch_path == "engine"
-        if not engine_backed and any(
-            max_hops is not None for *_, max_hops in queries
-        ):
-            raise InvalidQueryError(
-                "hop-bounded (max_hops) queries need the shared-world "
-                "engine; use method 'mc' or 'bfs_sharing'"
-            )
         seed = self._resolve_seed(request.seed)
-        if engine_backed:
+        if batch_path == "engine":
             # The parallel fast path: a fresh per-request engine, run
             # under no lock whatsoever.  Concurrent requests share only
             # the thread-safe result cache, and the determinism contract
             # makes the interleaving invisible in every estimate.
-            chunk_size = (
-                self.chunk_size
-                if request.chunk_size is None
-                else request.chunk_size
-            )
             self._record_queries(queries, seed)
             # The sequential oracle sweeps in this thread by definition.
-            evaluator = None if request.sequential else self._batch_evaluator()
+            evaluator = None if request.sequential else self.evaluator
             engine = self._engine(
-                seed, chunk_size, request.workers, request.kernels,
+                graph,
+                seed=seed,
+                chunk_size=request.chunk_size,
+                workers=request.workers,
+                kernels=request.kernels,
                 pool=evaluator,
             )
             if request.sequential:
@@ -804,7 +781,7 @@ class ReliabilityService:
             else:
                 result = engine.run(queries)
                 mode = getattr(evaluator, "mode", "shared_worlds")
-            report = self._engine_report(mode, result, chunk_size)
+            report = self._engine_report(mode, result, engine.chunk_size)
             rows = self._rows_from_result(result)
             # The engine reports one wall clock for the whole workload;
             # split it evenly — per-query attribution inside a shared
@@ -822,18 +799,22 @@ class ReliabilityService:
         else:
             estimator, call_lock = self._estimator_entry(request.method)
             started = time.perf_counter()
+            mode = (
+                "bag_grouped"
+                if batch_path == "bag_grouped"
+                else "per_query_loop"
+            )
             with call_lock:
-                if batch_path == "bag_grouped":
-                    estimates = estimator.estimate_batch(
-                        queries,
-                        seed=seed,
-                        workers=request.workers,
-                        cache_dir=self.cache_dir,
-                    )
-                    mode = "bag_grouped"
-                else:
-                    estimates = estimator.estimate_batch(queries, seed=seed)
-                    mode = "per_query_loop"
+                # Any engine the estimator builds on the way (ProbTree's
+                # inner batches over its lifted graphs) comes from the
+                # service's factory: same cache, same kernels.
+                estimates = estimator.estimate_batch(
+                    queries,
+                    seed=seed,
+                    engine=functools.partial(
+                        self._engine, workers=request.workers
+                    ),
+                )
                 # Instrumentation must be read before the lock drops, or
                 # a neighbouring request could overwrite it.
                 inner = estimator.last_batch_result
@@ -933,7 +914,12 @@ class ReliabilityService:
         # Unlocked like every engine run; the engine writes the whole
         # warmed workload through the cache's batched ``put_many`` path —
         # one sidecar transaction however many queries were warmed.
-        engine = self._engine(seed, request.chunk_size, request.workers)
+        engine = self._engine(
+            self.graph,
+            seed=seed,
+            chunk_size=request.chunk_size,
+            workers=request.workers,
+        )
         result = engine.run(queries)
         self._count("warm")
         return WarmResponse(
@@ -1045,9 +1031,9 @@ class ReliabilityService:
         no request can build an index against a half-swapped service.
         Each already-built estimator chooses its cheapest survival mode
         (``incremental`` re-lift, full ``rebuilt``, lazy ``dropped``, or
-        a plain ``repointed``), and a worker pool forked for the old
-        version is retired — the next multi-worker run respawns one
-        against the successor.
+        a plain ``repointed``), and the registry's worker pool for the
+        old version is retired — the next multi-worker run registers one
+        for the successor's fingerprint.
         """
         started = time.perf_counter()
         with self._update_lock:
@@ -1087,17 +1073,9 @@ class ReliabilityService:
                         self._dropped_indexes.add(method)
                     else:
                         self._dropped_indexes.discard(method)
-            stale = None
-            with self._pool_lock:
-                stale, self._pool = self._pool, None
-            pool_action = "none"
-            if stale is not None:
-                # Workers hold the predecessor; close() cancels their
-                # queued ranges (in-flight runs re-sweep inline) and
-                # the next multi-worker engine run forks a fresh pool
-                # pinned to the successor's fingerprint.
-                stale.close()
-                pool_action = "respawned"
+            # Workers hold the predecessor; closing its pool cancels
+            # their queued ranges (in-flight runs re-sweep inline).
+            retired = close_shared_pools(predecessor)
         self._count("update")
         return UpdateResponse(
             previous_fingerprint=previous_fingerprint,
@@ -1110,7 +1088,7 @@ class ReliabilityService:
             edges_removed=mutation.edges_removed,
             structural=mutation.structural,
             estimators=modes,
-            pool=pool_action,
+            pool="respawned" if retired else "none",
             seconds=round(time.perf_counter() - started, 6),
         )
 
@@ -1362,6 +1340,7 @@ class ReliabilityService:
         the old behaviour of queueing behind entire engine runs.
         """
         graph = self.graph
+        pool = registered_pool(graph)
         return {
             "dataset": self.dataset_key,
             "scale": self.scale,
@@ -1387,11 +1366,9 @@ class ReliabilityService:
                 "queries": self._rewarm_queries,
             },
             "cache": self._cache.statistics(),
-            # None until the first multi-worker engine run builds the
-            # shared pool; the pool's own counters are lock-free reads.
-            "pool": (
-                None if self._pool is None else self._pool.statistics()
-            ),
+            # None until the first multi-worker engine run over this
+            # graph version registers a pool; its counters are lock-free.
+            "pool": None if pool is None else pool.statistics(),
             "routing": {
                 # The live graph's view: other fingerprints' buckets
                 # stay in the map but are not this snapshot's evidence.

@@ -377,26 +377,6 @@ def _parse_query_file(path: str) -> Tuple[QuerySpec, ...]:
     return tuple(queries)
 
 
-def _check_workload_flags(args: argparse.Namespace) -> None:
-    """Reject nonsensical flag values before touching any dataset."""
-    command = args.command
-    if args.max_hops is not None and args.max_hops <= 0:
-        raise SystemExit(
-            f"repro {command}: --max-hops must be a positive integer, "
-            f"got {args.max_hops}"
-        )
-    if args.workers is not None and args.workers <= 0:
-        raise SystemExit(
-            f"repro {command}: --workers must be a positive integer, "
-            f"got {args.workers}"
-        )
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        raise SystemExit(
-            f"repro {command}: --chunk-size must be a positive integer, "
-            f"got {args.chunk_size}"
-        )
-
-
 def _emit_report(report: dict, output: str, summary: str) -> None:
     payload = json.dumps(report, indent=2)
     if output == "-":
@@ -440,83 +420,40 @@ def _command_estimate(args: argparse.Namespace) -> int:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
-    _check_workload_flags(args)
-    queries = _parse_query_file(args.queries)
-    # Flag-combination guards: adapter-level UX (each names the exact
-    # flags involved); the service re-checks the same invariants in
-    # API terms for non-CLI transports.  'auto' has no batch path until
-    # the router resolves it, so the path-keyed guards defer to the
-    # service's re-check against the routed method; treating it as
-    # engine-capable here keeps every flag available to an auto run.
-    auto = args.method == AUTO_METHOD
-    batch_path = (
-        "engine" if auto else ReliabilityService.batch_path_of(args.method)
+    request = BatchRequest(
+        queries=_parse_query_file(args.queries),
+        method=args.method,
+        samples=args.samples,
+        max_hops=args.max_hops,
+        chunk_size=args.chunk_size,
+        workers=args.workers,
+        kernels=args.kernels,
+        sequential=args.sequential,
     )
-    engine_backed = batch_path == "engine"  # mc, bfs_sharing
-    has_fast_path = batch_path in FAST_BATCH_PATHS  # + prob_tree
-    if args.sequential and args.method != "mc":
-        raise SystemExit(
-            "repro batch: --sequential applies only to --method mc (the "
-            "per-query engine oracle)"
+    # The service states every request rule, once and in field terms;
+    # checking the graph-free ones here just fails before the dataset
+    # loads.  The one rule of this adapter's own is about a flag that is
+    # no request field.
+    try:
+        ReliabilityService.check_batch_request(
+            request, persistent=args.cache_dir is not None
         )
-    if args.chunk_size is not None and not engine_backed:
-        raise SystemExit(
-            "repro batch: --chunk-size applies only to the engine-backed "
-            "methods (--method mc or bfs_sharing); other methods do not "
-            "stream world chunks"
-        )
-    if args.workers is not None and not has_fast_path:
-        raise SystemExit(
-            "repro batch: --workers rides on a batch fast path "
-            "(--method mc, bfs_sharing, or prob_tree); "
-            f"--method {args.method} uses the per-query loop"
-        )
-    if args.kernels is not None and not engine_backed:
-        raise SystemExit(
-            "repro batch: --kernels selects the engine's sweep "
-            "implementation; it applies only to the engine-backed "
-            "methods (--method mc or bfs_sharing)"
-        )
-    if args.cache_dir is not None and not has_fast_path:
+    except ReliabilityError as error:
+        raise SystemExit(f"repro batch: {error}") from None
+    if (
+        args.cache_dir is not None
+        and args.method != AUTO_METHOD
+        and ReliabilityService.batch_path_of(args.method)
+        not in FAST_BATCH_PATHS
+    ):
         raise SystemExit(
             "repro batch: --cache-dir rides on a batch fast path "
             "(--method mc, bfs_sharing, or prob_tree); the per-query "
             "loop has no exact cache key"
         )
-    if args.cache_dir is not None and args.sequential:
-        raise SystemExit(
-            "repro batch: the --sequential oracle bypasses the result "
-            "cache by design; --cache-dir applies only to the "
-            "shared-world sweep"
-        )
-    if args.sequential and args.workers is not None and args.workers > 1:
-        raise SystemExit(
-            "repro batch: the --sequential oracle re-materialises "
-            "worlds per query in-process; --workers applies only to "
-            "the shared-world sweep"
-        )
-    if not engine_backed and (
-        args.max_hops is not None
-        or any(query.max_hops is not None for query in queries)
-    ):
-        raise SystemExit(
-            "repro batch: hop-bounded (max_hops) queries need the "
-            "shared-world engine; use --method mc or bfs_sharing"
-        )
     service = _open_service(args, cache_dir=args.cache_dir)
     try:
-        response = service.estimate_batch(
-            BatchRequest(
-                queries=queries,
-                method=args.method,
-                samples=args.samples,
-                max_hops=args.max_hops,
-                chunk_size=args.chunk_size,
-                workers=args.workers,
-                kernels=args.kernels,
-                sequential=args.sequential,
-            )
-        )
+        response = service.estimate_batch(request)
     except ReliabilityError as error:
         raise SystemExit(f"repro batch: {args.queries}: {error}") from None
     finally:
@@ -530,7 +467,6 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 
 def _command_warm(args: argparse.Namespace) -> int:
-    _check_workload_flags(args)
     queries = _parse_query_file(args.queries)
     service = _open_service(args, cache_dir=args.cache_dir)
     try:
@@ -740,10 +676,12 @@ def _command_study(args: argparse.Namespace) -> int:
         estimators=tuple(args.estimators),
         seed=args.seed,
         use_batch_engine=args.batch,
-        engine_workers=args.workers,
-        engine_cache_dir=args.cache_dir,
     )
-    service = _open_service(args)
+    # --workers / --cache-dir configure the service; a batch study's
+    # engines all come from its factory.
+    service = _open_service(
+        args, workers=args.workers, cache_dir=args.cache_dir
+    )
     try:
         result = service.study(config)
     except ReliabilityError as error:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,10 @@ _BATCH_STREAM = 0x42
 
 #: A coerced workload entry: ``(source, target, samples, max_hops)``.
 WorkloadEntry = Tuple[int, int, int, Optional[int]]
+
+#: ``engine(graph, seed=...) -> BatchEngine``: how a batch fast path
+#: obtains its engine (see :func:`run_engine_batch`).
+EngineFactory = Callable[..., object]
 
 
 def coerce_batch_queries(
@@ -84,43 +88,40 @@ def run_engine_batch(
     queries: Iterable[Sequence[int]],
     *,
     seed: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
-    kernels: Optional[str] = None,
-    cache_dir: Optional[str] = None,
+    engine: Optional[EngineFactory] = None,
 ) -> np.ndarray:
     """Serve a workload through the shared-world batch engine.
 
     The common body behind the ``estimate_batch`` fast paths of MC and
-    BFS Sharing: build a :class:`~repro.engine.batch.BatchEngine` over the
-    estimator's graph, run the workload, stash the engine and its
+    BFS Sharing: ask ``engine`` for a
+    :class:`~repro.engine.batch.BatchEngine` over the estimator's graph,
+    run the workload, stash the engine and its
     :class:`~repro.engine.batch.BatchResult` on the estimator (for
     ``memory_bytes`` and for callers that want the instrumentation —
     ``estimator.last_batch_result``), and return the estimates.
 
+    ``engine`` is the one engine option of this layer: a factory
+    ``engine(graph, seed=...) -> BatchEngine``.  Whoever owns a result
+    cache, a range evaluator, a kernel choice or a worker count —
+    a :class:`~repro.api.service.ReliabilityService` — configures them
+    there; without one the workload runs on a plain default engine.
+
     With ``seed=None`` the world-stream root is drawn from the
     estimator's own generator, matching the base fallback's behaviour
-    (reproducible iff the estimator was seeded).  ``cache_dir`` opens the
-    persistent result-cache sidecar, so repeated workloads — even across
-    processes — are answered without sampling a single world.
+    (reproducible iff the estimator was seeded).
     """
-    # Imported lazily: core must not import upward into engine at module
-    # scope (docs/architecture.md), but a fast path may reach up at call
-    # time the way MC has since the engine landed.
-    from repro.engine.batch import DEFAULT_CHUNK_SIZE, BatchEngine
+    if engine is None:
+        # Imported lazily: core must not import upward into engine at
+        # module scope (docs/architecture.md), but a fast path may reach
+        # up at call time the way MC has since the engine landed.
+        from repro.engine.batch import BatchEngine
 
+        engine = BatchEngine
     if seed is None:
         seed = int(estimator._rng.integers(2**63))
-    engine = BatchEngine(
-        estimator.graph,
-        seed=seed,
-        chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-        workers=workers,
-        kernels=kernels,
-        cache_dir=cache_dir,
-    )
-    result = engine.run(queries)
-    estimator._batch_engine = engine  # memory_bytes() reflects the run
+    built = engine(estimator.graph, seed=seed)
+    result = built.run(queries)
+    estimator._batch_engine = built  # memory_bytes() reflects the run
     estimator.last_batch_result = result
     return result.estimates
 
@@ -163,7 +164,7 @@ class Estimator(abc.ABC):
     #: How ``estimate_batch`` is served — the fast-path dispatch tag the
     #: CLI and docs key off:  ``"fallback"`` (per-query loop),
     #: ``"engine"`` (shared-world batch engine: one world stream for the
-    #: whole workload, d-hop capable, ``workers``/``cache_dir`` honoured),
+    #: whole workload, d-hop capable, configured by the ``engine=`` factory),
     #: or ``"bag_grouped"`` (ProbTree: one lifted query graph per (s, t)
     #: bag pair, inner batches per group).
     batch_path: ClassVar[str] = "fallback"
@@ -216,8 +217,7 @@ class Estimator(abc.ABC):
         queries: Iterable[Sequence[int]],
         *,
         seed: Optional[int] = None,
-        workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
+        engine: Optional[EngineFactory] = None,
     ) -> np.ndarray:
         """Estimate a workload of ``(source, target, samples[, max_hops])``.
 
@@ -231,10 +231,10 @@ class Estimator(abc.ABC):
         §2.2/§3.7); ProbTree groups the batch by (s, t) bag pair and
         lifts each group's query graph once.
 
-        ``workers`` (engine parallelism) and ``cache_dir`` (persistent
-        result cache) are knobs for those fast paths; the per-query
-        fallback has nothing to fan out and no exact cache key — every
-        call draws fresh samples — so it ignores both.  Hop-bounded
+        ``engine`` (see :func:`run_engine_batch`) configures those fast
+        paths; the per-query fallback builds no engine — it has nothing
+        to fan out and no exact cache key, every call draws fresh
+        samples — so it ignores it.  Hop-bounded
         queries (§2.9 d-hop reliability) need a shared-world sweep, which
         a generic estimator does not have — the fallback rejects them
         rather than silently answering the unbounded query.
@@ -365,6 +365,7 @@ class Estimator(abc.ABC):
 
 
 __all__ = [
+    "EngineFactory",
     "Estimator",
     "QueryStatistics",
     "WorkloadEntry",

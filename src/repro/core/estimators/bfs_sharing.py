@@ -34,7 +34,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.estimators.base import Estimator, run_engine_batch
+from repro.core.estimators.base import (
+    EngineFactory,
+    Estimator,
+    run_engine_batch,
+)
 from repro.core.graph import UncertainGraph
 from repro.util import bitset
 from repro.util.rng import SeedLike, ensure_generator
@@ -325,10 +329,7 @@ class BFSSharingEstimator(Estimator):
         queries: Iterable[Sequence[int]],
         *,
         seed: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        kernels: Optional[str] = None,
-        cache_dir: Optional[str] = None,
+        engine: Optional[EngineFactory] = None,
     ) -> np.ndarray:
         """Shared-world fast path: the packed index built from engine chunks.
 
@@ -350,10 +351,10 @@ class BFSSharingEstimator(Estimator):
         Because the worlds come from the engine's index-keyed stream, the
         estimates are **bit-identical** to ``mc``'s engine path and to the
         engine's sequential oracle at equal seed — and exactly cacheable,
-        so ``cache_dir`` warm-starts repeat workloads across processes.
-        Unlike the per-query path, hop-bounded queries (§2.9) are served
-        too (the fixpoint's level-synchronous mode), and ``workers`` fans
-        chunks out over processes without changing a bit.
+        so an ``engine`` factory that shares a result cache replays
+        repeat workloads without sampling.  Unlike the per-query path,
+        hop-bounded queries (§2.9) are served too (the fixpoint's
+        level-synchronous mode).
 
         The private offline index (:class:`BFSSharingIndex`) is neither
         consulted nor built, and ``refresh_per_query`` is deliberately
@@ -365,10 +366,7 @@ class BFSSharingEstimator(Estimator):
         per-query :meth:`~Estimator.estimate` loop, which honours the
         flag.
         """
-        return run_engine_batch(
-            self, queries, seed=seed, chunk_size=chunk_size,
-            workers=workers, kernels=kernels, cache_dir=cache_dir,
-        )
+        return run_engine_batch(self, queries, seed=seed, engine=engine)
 
     def memory_bytes(self) -> int:
         if self._batch_engine is not None:

@@ -12,7 +12,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.estimators.base import Estimator, run_engine_batch
+from repro.core.estimators.base import (
+    EngineFactory,
+    Estimator,
+    run_engine_batch,
+)
 from repro.core.graph import UncertainGraph
 from repro.core.possible_world import ReachabilitySampler
 from repro.util.rng import SeedLike
@@ -48,10 +52,7 @@ class MonteCarloEstimator(Estimator):
         queries: Iterable[Sequence[int]],
         *,
         seed: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        kernels: Optional[str] = None,
-        cache_dir: Optional[str] = None,
+        engine: Optional[EngineFactory] = None,
     ) -> np.ndarray:
         """Shared-world fast path via the batch engine (paper §2.2/§3.7).
 
@@ -65,16 +66,12 @@ class MonteCarloEstimator(Estimator):
         constructor seed (reproducible iff the estimator was seeded).
 
         Unlike the base fallback, this path also serves hop-bounded
-        ``(source, target, samples, max_hops)`` queries (§2.9), accepts
-        ``workers`` for multiprocess chunk evaluation and ``kernels``
-        for the vectorized sweep implementation, and warm-starts from
-        the persistent result cache under ``cache_dir`` — none of which
-        can change an estimate (the engine's determinism contract).
+        ``(source, target, samples, max_hops)`` queries (§2.9).  The
+        ``engine`` factory decides everything else about the run —
+        result cache, worker processes, kernels, chunk size — none of
+        which can change an estimate (the engine's determinism contract).
         """
-        return run_engine_batch(
-            self, queries, seed=seed, chunk_size=chunk_size,
-            workers=workers, kernels=kernels, cache_dir=cache_dir,
-        )
+        return run_engine_batch(self, queries, seed=seed, engine=engine)
 
     def memory_bytes(self) -> int:
         # Graph + the reusable visited-epoch array + the frontier queue;

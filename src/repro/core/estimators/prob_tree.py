@@ -52,6 +52,7 @@ from typing import (
 import numpy as np
 
 from repro.core.estimators.base import (
+    EngineFactory,
     Estimator,
     QueryStatistics,
     coerce_batch_queries,
@@ -510,6 +511,33 @@ def _group_seed(seed: int, key: Tuple[int, int]) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
+def _grouped_report(workload, estimates, seed: int, reports):
+    """The groups' inner engine reports as one outer-workload report.
+
+    Counters add up across groups; cache provenance and the fingerprint
+    belong to the lifted graphs, not to this workload, and stay unset.
+    """
+    # Imported lazily, like run_engine_batch: core reaches up only at
+    # call time.
+    from repro.engine.batch import BatchResult
+    from repro.engine.plan import BatchQuery
+
+    def total(counter: str):
+        return sum(getattr(report, counter) for report in reports)
+
+    return BatchResult(
+        queries=tuple(BatchQuery(*entry) for entry in workload),
+        estimates=estimates,
+        seed=seed,
+        worlds_sampled=total("worlds_sampled"),
+        sweeps=total("sweeps"),
+        cache_hits=total("cache_hits"),
+        cache_misses=total("cache_misses"),
+        seconds=total("seconds"),
+        workers=max(report.workers for report in reports),
+    )
+
+
 class ProbTreeEstimator(Estimator):
     """s-t reliability through the FWD ProbTree index (Alg. 8).
 
@@ -643,8 +671,7 @@ class ProbTreeEstimator(Estimator):
         queries: Iterable[Sequence[int]],
         *,
         seed: Optional[int] = None,
-        workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
+        engine: Optional[EngineFactory] = None,
     ) -> np.ndarray:
         """Bag-grouped fast path: one lifted query graph per (s, t) bag pair.
 
@@ -655,9 +682,13 @@ class ProbTreeEstimator(Estimator):
         group's query graph **once**, and submits the whole group to the
         coupled estimator as one inner ``estimate_batch`` — so with the
         default MC coupling, a group's queries additionally share one
-        engine world stream over the lifted graph (and, via
-        ``cache_dir``, a persistent result cache keyed by the lifted
-        graph's own fingerprint).
+        engine world stream over the lifted graph.  ``engine`` is
+        forwarded untouched (§2.7: the index is decoupled from the
+        estimator run on the lifted graph), so inner engines come from
+        the caller's factory: a service's result cache then holds inner
+        results too, keyed by the lifted graph's own fingerprint.  When
+        every group ran on an engine, ``last_batch_result`` carries the
+        groups' counters summed.
 
         Determinism: each group's inner seed is derived from ``(seed,
         bag pair)``, and inner batches deduplicate, so results depend on
@@ -695,6 +726,7 @@ class ProbTreeEstimator(Estimator):
             groups.setdefault(key, []).append(position)
 
         results = np.empty(len(workload), dtype=np.float64)
+        reports = []
         for key in sorted(groups):  # deterministic group order
             members = groups[key]
             lifted, node_map = self.lifted_graph(key)
@@ -709,12 +741,14 @@ class ProbTreeEstimator(Estimator):
                 for position in members
             ]
             estimates = inner.estimate_batch(
-                inner_queries,
-                seed=_group_seed(seed, key),
-                workers=workers,
-                cache_dir=cache_dir,
+                inner_queries, seed=_group_seed(seed, key), engine=engine
             )
             results[np.asarray(members, dtype=np.int64)] = estimates
+            reports.append(inner.last_batch_result)
+        if reports and all(report is not None for report in reports):
+            self.last_batch_result = _grouped_report(
+                workload, results, seed, reports
+            )
         return results
 
     def _estimate(

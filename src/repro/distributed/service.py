@@ -18,8 +18,10 @@ the identical request — bit for bit.  The only honest divergences are
 ``engine.seconds`` (wall clock).  The integration suite pins exactly
 this: full-document equality after normalising those three fields.
 
-There is no coordinator loop here: the service hands its
-:class:`ShardCoordinator` to the batch's engine as the range evaluator
+There is no coordinator loop here, and no behaviour of its own: the
+service is *configured* with its :class:`ShardCoordinator`
+(``ReliabilityService(evaluator=...)``), whose engine factory attaches
+it to each batch's engine as the range evaluator
 (``BatchEngine(pool=...)``), and :meth:`BatchEngine.run
 <repro.engine.batch.BatchEngine.run>` does what it does for every run —
 result-cache lookups first (so warm queries never touch the network),
@@ -42,7 +44,12 @@ from repro.engine.plan import plan_queries  # noqa: F401
 
 
 class CoordinatedReliabilityService(ReliabilityService):
-    """A reliability service that fans engine batches out to shards.
+    """A reliability service whose range evaluator is a shard tier.
+
+    Nothing but a constructor: it builds a :class:`ShardCoordinator`
+    over ``shards`` and hands it to :class:`ReliabilityService` as
+    ``evaluator=`` — passing one yourself is the same service — plus
+    the tier's section in :meth:`stats`.
 
     Parameters (beyond :class:`ReliabilityService`'s)
     -------------------------------------------------
@@ -55,6 +62,11 @@ class CoordinatedReliabilityService(ReliabilityService):
     shard_config:
         A :class:`ShardTierConfig`; ``None`` resolves the
         ``REPRO_SHARD_*`` environment knobs.
+
+    ``request.workers`` sizes nothing on the tier: parallelism comes
+    from the shards, and each applies its own compute configuration.
+    ``method="auto"`` is resolved by the inherited router before any
+    engine exists — dispatches carry world ranges, not methods.
     """
 
     def __init__(
@@ -65,26 +77,12 @@ class CoordinatedReliabilityService(ReliabilityService):
         shard_config: Optional[ShardTierConfig] = None,
         **options,
     ) -> None:
-        super().__init__(graph, **options)
         if isinstance(shards, str):
             urls = parse_shard_list(shards)
         else:
             urls = tuple(normalize_shard_url(spec) for spec in shards)
         self.coordinator = ShardCoordinator(urls, config=shard_config)
-
-    def _batch_evaluator(self) -> ShardCoordinator:
-        """Engine-backed ``/v1/batch`` runs sweep on the shard tier.
-
-        ``request.workers`` still sizes nothing here: parallelism comes
-        from the shards, and each applies its own compute configuration.
-        ``method="auto"`` is resolved by the inherited router before any
-        engine exists — dispatches carry world ranges, not methods.
-        """
-        return self.coordinator
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
+        super().__init__(graph, evaluator=self.coordinator, **options)
 
     def stats(self) -> Dict[str, object]:
         """The inherited counters plus the shard-tier health section."""

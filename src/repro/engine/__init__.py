@@ -17,7 +17,6 @@ from repro.engine.batch import (
     WORKERS_ENV_VAR,
     BatchEngine,
     BatchResult,
-    estimate_workload,
     resolve_kernels,
     resolve_workers,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "BatchResult",
     "PoolClosedError",
     "WorkerPool",
-    "estimate_workload",
     "resolve_kernels",
     "resolve_workers",
     "shared_pool",

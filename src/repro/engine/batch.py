@@ -34,28 +34,19 @@ World ``i`` is a pure function of ``(graph, seed, i)`` — see
 Distance-constrained workloads (§2.9): a :class:`~repro.engine.plan.
 BatchQuery` may carry ``max_hops``, in which case its indicator becomes
 "reaches within ``max_hops`` edges".  The planner groups queries by
-``(source, max_hops)`` and both sweep strategies bound their walk — the
-bitset sweep via the level-synchronous mode of
-:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`,
-the per-world sweep via ``reach_targets(max_hops=...)`` — so d-hop and
-plain queries are served from one world stream.
+``(source, max_hops)`` and the sweep bounds its walk (the
+level-synchronous mode of
+:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`),
+so d-hop and plain queries are served from one world stream.
 
-Two sweep strategies implement the same semantics:
-
-* ``sweep="bitset"`` (default) — each chunk of worlds is packed into the
-  uint64 bit-matrix layout of BFS Sharing (§2.3) and one dataflow
-  fixpoint per distinct source answers *all* of that source's targets in
-  *all* of the chunk's worlds at once
-  (:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`);
-* ``sweep="per_world"`` — one
-  :meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
-  call per (world, source): the multi-target generalisation of Alg. 1's
-  fused BFS kernel with early termination.  Slower, but a direct
-  per-world oracle; :meth:`BatchEngine.run_sequential` is built on it.
-
-Both strategies consume the identical world stream, so they agree exactly
-with each other and with the sequential loop (property-tested in
-``tests/engine/``).
+The sweep: each chunk of worlds is packed into the uint64 bit-matrix
+layout of BFS Sharing (§2.3) and one dataflow fixpoint per distinct
+source answers *all* of that source's targets in *all* of the chunk's
+worlds at once.  Its per-world reference oracle is
+:meth:`BatchEngine.run_sequential` — one
+:meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
+walk per (query, world) over the identical world stream, so the two
+agree exactly (property-tested in ``tests/engine/``).
 """
 
 from __future__ import annotations
@@ -78,13 +69,11 @@ from repro.engine.cache import (
     DEFAULT_CACHE_CAPACITY,
     ResultCache,
     graph_fingerprint,
-    open_result_cache,
     result_key,
 )
 from repro.engine.kernels import (
     KERNEL_MODES,
     KERNELS_ENV_VAR,
-    reach_targets_in_world,
     resolve_kernels,
     shared_fixpoint_vectorized,
 )
@@ -96,9 +85,6 @@ from repro.util.validation import check_positive
 #: Default number of world masks materialised per streaming step.  A
 #: multiple of 64 keeps the packed chunks' last words fully used.
 DEFAULT_CHUNK_SIZE = 256
-
-#: Sweep strategies accepted by :class:`BatchEngine`.
-SWEEP_MODES = ("bitset", "per_world")
 
 #: Namespace key separating the engine's world stream from the substreams
 #: used elsewhere (experiment repeats, CLI queries, ...).
@@ -243,18 +229,15 @@ class BatchEngine:
     chunk_size:
         How many world masks are sampled per streaming step; memory is
         bounded by ``O(chunk_size * edge_count)`` bits regardless of K.
-    sweep:
-        ``"bitset"`` (default, packed fixpoint per chunk) or
-        ``"per_world"`` (one kernel sweep per world) — identical results,
-        different constants.
     workers:
         How many ranges a run's pending worlds are split into for a
         process pool.  ``None`` reads the ``REPRO_ENGINE_WORKERS``
         environment variable (default 1 — everything inline).  With
-        ``workers >= 2`` and no attached ``pool``, runs borrow the
-        process-wide :func:`~repro.engine.pool.shared_pool` for this
-        graph; the per-range hit counts are summed in the parent —
-        bit-identical to the inline sweep by the determinism contract.
+        ``workers >= 2`` and no attached ``pool``, runs of more than one
+        chunk borrow the process-wide
+        :func:`~repro.engine.pool.shared_pool` for this graph; the
+        per-range hit counts are summed in the parent — bit-identical to
+        the inline sweep by the determinism contract.
     kernels:
         ``"python"`` (the historical per-node loops) or ``"vectorized"``
         (the frontier-bulk kernels of :mod:`repro.engine.kernels`).
@@ -279,14 +262,9 @@ class BatchEngine:
         thread-safe, so many engines — one per concurrently served
         request — may share a single instance; exact keys make the
         sharing value-transparent (two engines that race on a key write
-        the same float).
-    cache_dir:
-        Convenience for persistence: when given (and ``cache`` is not),
-        the engine opens the :class:`~repro.engine.cache.
-        PersistentResultCache` sidecar under this directory, so estimates
-        survive the process and a re-run warm-starts with zero world
-        evaluations.  Exactness is unaffected — the cache key fully
-        determines the estimate.
+        the same float).  Hand in an
+        :func:`~repro.engine.cache.open_result_cache` sidecar and
+        estimates survive the process; whoever opened it closes it.
     """
 
     def __init__(
@@ -295,34 +273,21 @@ class BatchEngine:
         *,
         seed: Optional[int] = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        sweep: str = "bitset",
         workers: Optional[int] = None,
         kernels: Optional[str] = None,
         pool=None,
         cache: Optional[ResultCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        cache_dir: Optional[str] = None,
     ) -> None:
         self.graph = graph
         if seed is None:
             seed = int(np.random.default_rng().integers(2**63))
         self.seed = int(seed)
         self.chunk_size = check_positive(chunk_size, "chunk_size")
-        if sweep not in SWEEP_MODES:
-            raise ValueError(
-                f"unknown sweep mode {sweep!r}; known: {', '.join(SWEEP_MODES)}"
-            )
-        self.sweep = sweep
         self.workers = resolve_workers(workers)
         self.kernels = resolve_kernels(kernels)
         self.pool = pool
-        if cache is None:
-            cache = (
-                open_result_cache(cache_dir, capacity=cache_capacity)
-                if cache_dir is not None
-                else ResultCache(cache_capacity)
-            )
-        self.cache = cache
+        self.cache = ResultCache(cache_capacity) if cache is None else cache
         self.fingerprint = graph_fingerprint(graph)
         self._sampler = ReachabilitySampler(graph)
 
@@ -362,10 +327,10 @@ class BatchEngine:
         return masks
 
     # ------------------------------------------------------------------
-    # Chunk sweeps (identical semantics, different constants)
+    # The chunk sweep
     # ------------------------------------------------------------------
 
-    def _sweep_chunk_bitset(
+    def _sweep_chunk(
         self,
         masks: np.ndarray,
         chunk_start: int,
@@ -420,43 +385,6 @@ class BatchEngine:
             sweeps += 1
         return sweeps
 
-    def _sweep_chunk_per_world(
-        self,
-        masks: np.ndarray,
-        chunk_start: int,
-        count: int,
-        groups,
-        pending: np.ndarray,
-        hits: np.ndarray,
-    ) -> int:
-        """Per-world sweep: one fused-kernel walk per (world, group)."""
-        vectorized = self.kernels == "vectorized"
-        sweeps = 0
-        for offset in range(count):
-            world = chunk_start + offset
-            # The vectorized walk consumes the boolean mask directly; the
-            # python kernel wants the ±1 forced-state encoding.
-            forced = None if vectorized else forced_from_mask(masks[offset])
-            for group in groups:
-                if world >= group.k_max:
-                    continue
-                live = pending[group.query_indices] & (group.samples > world)
-                if not live.any():
-                    continue
-                if vectorized:
-                    reached = reach_targets_in_world(
-                        self.graph, masks[offset], group.source,
-                        group.targets[live], max_hops=group.max_hops,
-                    )
-                else:
-                    reached = self._sampler.reach_targets(
-                        group.source, group.targets[live], forced=forced,
-                        max_hops=group.max_hops,
-                    )
-                hits[group.query_indices[live]] += reached
-                sweeps += 1
-        return sweeps
-
     def evaluate_chunk(
         self,
         chunk_start: int,
@@ -468,41 +396,34 @@ class BatchEngine:
         """Evaluate worlds ``chunk_start .. chunk_start + count`` standalone.
 
         Returns fresh per-unique-query hit counts plus the number of sweeps
-        performed.  Pure in ``(graph, seed, sweep, arguments)`` — it reads
+        performed.  Pure in ``(graph, seed, arguments)`` — it reads
         no mutable engine state — which is what lets any process sweep
         any range and the counts be summed in any order without changing
         a single bit.
         """
         masks = self.world_masks(chunk_start, count)
         hits = np.zeros(unique_count, dtype=np.int64)
-        sweep_chunk = (
-            self._sweep_chunk_bitset
-            if self.sweep == "bitset"
-            else self._sweep_chunk_per_world
+        sweeps = self._sweep_chunk(
+            masks, chunk_start, count, groups, pending, hits
         )
-        sweeps = sweep_chunk(masks, chunk_start, count, groups, pending, hits)
         return hits, sweeps
 
     def memory_bytes(self) -> int:
         """Approximate peak working set of one chunk sweep (graph included).
 
         The streaming bound the ``chunk_size`` knob enforces: one chunk of
-        boolean world masks plus, for the bitset sweep, the packed edge
-        bits and one node-reachability matrix (cf. §2.3's ``O(Km)`` index
-        memory, which the engine holds only ``chunk_size`` worlds of).
+        boolean world masks plus the packed edge bits and one
+        node-reachability matrix (cf. §2.3's ``O(Km)`` index memory,
+        which the engine holds only ``chunk_size`` worlds of).
         """
         edge_count = self.graph.edge_count
         node_count = self.graph.node_count
+        words = bitset.packed_words(self.chunk_size)
+        word_bytes = np.dtype(np.uint64).itemsize
         total = self.graph.memory_bytes()
         total += self.chunk_size * edge_count  # boolean mask chunk
-        if self.sweep == "bitset":
-            words = bitset.packed_words(self.chunk_size)
-            word_bytes = np.dtype(np.uint64).itemsize
-            total += edge_count * words * word_bytes  # packed edge bits
-            total += node_count * words * word_bytes  # fixpoint node bits
-        else:
-            total += edge_count  # int8 forced-state vector
-            total += node_count * np.dtype(np.int64).itemsize  # visited
+        total += edge_count * words * word_bytes  # packed edge bits
+        total += node_count * words * word_bytes  # fixpoint node bits
         return total
 
     # ------------------------------------------------------------------
@@ -542,16 +463,19 @@ class BatchEngine:
         """Sweep worlds ``[0, k_needed)`` for the plan's pending queries.
 
         The seam for *where* a run's worlds are swept.  An attached
-        ``pool`` (or, for ``workers >= 2``, the registry pool of this
-        graph) partitions the range and runs :meth:`run_range`
-        elsewhere; otherwise — and whenever that pool turns out closed —
-        the chunk loop runs inline.  Returns ``(hits aligned with the
-        pending queries, sweeps, contributors)``.
+        ``pool`` (or, for ``workers >= 2`` and more than one chunk to
+        split, the registry pool of this graph) partitions the range and
+        runs :meth:`run_range` elsewhere; otherwise — and whenever that
+        pool turns out closed — the chunk loop runs inline.  Returns
+        ``(hits aligned with the pending queries, sweeps,
+        contributors)``.
         """
         from repro.engine.pool import PoolClosedError, shared_pool
 
         pool = self.pool
-        if pool is None and self.workers > 1:
+        if pool is None and self.workers > 1 and k_needed > self.chunk_size:
+            # A single chunk stays in this thread whatever the pool, so
+            # it does not claim (or evict) a registry slot either.
             pool = shared_pool(self.graph, self.workers)
         if pool is not None:
             try:
@@ -734,33 +658,14 @@ class BatchEngine:
         )
 
 
-def estimate_workload(
-    graph: UncertainGraph,
-    queries: Iterable[QueryLike],
-    *,
-    seed: Optional[int] = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> BatchResult:
-    """One-shot convenience wrapper: plan, run, return the report."""
-    engine = BatchEngine(
-        graph, seed=seed, chunk_size=chunk_size, workers=workers,
-        cache_dir=cache_dir,
-    )
-    return engine.run(queries)
-
-
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "KERNEL_MODES",
     "KERNELS_ENV_VAR",
-    "SWEEP_MODES",
     "WORKERS_ENV_VAR",
     "BatchResult",
     "RangeResult",
     "BatchEngine",
-    "estimate_workload",
     "partition_ranges",
     "resolve_kernels",
     "resolve_workers",

@@ -1,12 +1,11 @@
 """Vectorized sweep kernels: bulk bitwise fixpoints over packed CSR bits.
 
-The per-node Python loops in
+The per-node Python loop in
 :func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`
-and :meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
-spend most of their time in the interpreter once graphs grow: every
+spends most of its time in the interpreter once graphs grow: every
 frontier node costs a Python iteration even though its actual work is a
-handful of word-wide ORs.  This module provides drop-in replacements
-that process a *whole frontier per NumPy call*:
+handful of word-wide ORs.  This module provides a drop-in replacement
+that processes a *whole frontier per NumPy call*:
 
 * gather every out-edge of the frontier at once
   (:func:`~repro.util.bitset.concatenate_ranges` over the packed uint64
@@ -29,8 +28,8 @@ hypothesis-generated graphs.  The one permitted divergence is the
 ``edges_probed`` *instrumentation* of the unbounded fixpoint, which is a
 property of the schedule, not of the answer.
 
-Selection: ``BatchEngine(kernels="vectorized")`` routes both sweep
-strategies through this module; ``kernels=None`` consults the
+Selection: ``BatchEngine(kernels="vectorized")`` routes the chunk sweep
+through this module; ``kernels=None`` consults the
 ``REPRO_ENGINE_KERNELS`` environment variable and falls back to
 ``"python"`` (the historical per-node kernels).  Range evaluators —
 the workers of :mod:`repro.engine.pool` and the shards of
@@ -139,57 +138,9 @@ def shared_fixpoint_vectorized(
     return node_bits, int(edges_probed)
 
 
-def reach_targets_in_world(
-    graph: UncertainGraph,
-    mask: np.ndarray,
-    source: int,
-    targets: np.ndarray,
-    max_hops: Optional[int] = None,
-) -> np.ndarray:
-    """Reachability indicators for many targets in one materialised world.
-
-    The vectorized counterpart of
-    :meth:`~repro.core.possible_world.ReachabilitySampler.reach_targets`
-    with a fully forced world: it consumes the boolean edge ``mask``
-    directly (no ±1 forced-state conversion, no sampler instance, no
-    epoch array) and expands the walk level by level with the same bulk
-    CSR gather.  Early termination, hop bounding, and therefore the
-    returned indicator vector all match the sampler kernel exactly —
-    reachability in a concrete world is a fact, not an estimate, so the
-    agreement is bitwise by construction and pinned by the conformance
-    suite regardless.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    indptr, edge_targets = graph.indptr, graph.targets
-    visited = np.zeros(graph.node_count, dtype=bool)
-    visited[source] = True
-    frontier = np.asarray([source], dtype=np.int64)
-    hops = 0
-    while frontier.size and not visited[targets].all():
-        if max_hops is not None and hops >= max_hops:
-            break
-        hops += 1
-        edge_ids = bitset.concatenate_ranges(
-            indptr[frontier], indptr[frontier + 1]
-        )
-        if edge_ids.size == 0:
-            break
-        candidates = edge_targets[edge_ids[mask[edge_ids]]]
-        if candidates.size == 0:
-            break
-        fresh = candidates[~visited[candidates]]
-        if fresh.size == 0:
-            break
-        fresh = np.unique(fresh)
-        visited[fresh] = True
-        frontier = fresh
-    return visited[targets]
-
-
 __all__ = [
     "KERNEL_MODES",
     "KERNELS_ENV_VAR",
     "resolve_kernels",
     "shared_fixpoint_vectorized",
-    "reach_targets_in_world",
 ]

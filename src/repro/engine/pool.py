@@ -7,9 +7,10 @@ same shape — partition ``[0, K)`` with
 :func:`~repro.engine.batch.partition_ranges`, run
 :meth:`~repro.engine.batch.BatchEngine.run_range` somewhere else, add
 the int64 hit counts.  Here "somewhere else" is a worker process forked
-**once** with the graph pre-loaded: workers live as long as their owner
-— one service, one pool, shared by every served engine run — and each
-run ships only its pending queries and one ``(start, stop)`` per range.
+**once** with the graph pre-loaded: workers live as long as their pool
+— one per graph fingerprint in the process-wide registry, shared by
+every engine run over that graph — and each run ships only its pending
+queries and one ``(start, stop)`` per range.
 
 Determinism is untouched: a worker sweeps its range with the very same
 :meth:`~repro.engine.batch.BatchEngine.run_range` a shard server (or the
@@ -38,8 +39,12 @@ Lifecycle:
 
 An engine with ``workers >= 2`` and no attached pool borrows one from
 the module-level registry (:func:`shared_pool`), keyed by graph
-fingerprint — so ``REPRO_ENGINE_WORKERS=2`` drives a whole process (the
-CI pool leg: the whole test suite) through pooled execution.
+fingerprint — versioned by construction, like cache keys: a live
+update's successor graph gets its own pool and the service retires the
+predecessor's (:func:`close_shared_pools`).  Nothing else owns a pool,
+so ``--workers 2`` on a served process and ``REPRO_ENGINE_WORKERS=2``
+on a whole process (the CI pool leg: the whole test suite) take the
+same road.
 """
 
 from __future__ import annotations
@@ -88,19 +93,18 @@ def _initialise_worker(graph) -> None:
 
 
 def _run_range(
-    stream: Tuple[int, int, str, str],
+    stream: Tuple[int, int, str],
     queries: Sequence[BatchQuery],
     start: int,
     stop: int,
 ) -> Tuple[np.ndarray, int]:
     """Worker-side task: ``run_range`` on an engine over the pinned graph."""
     assert _WORKER_GRAPH is not None, "pool worker used before initialisation"
-    seed, chunk_size, sweep, kernels = stream
+    seed, chunk_size, kernels = stream
     engine = BatchEngine(
         _WORKER_GRAPH,
         seed=seed,
         chunk_size=chunk_size,
-        sweep=sweep,
         kernels=kernels,
         workers=1,  # workers never nest pools
         cache_capacity=1,  # the parent owns the real result cache
@@ -225,7 +229,7 @@ class WorkerPool:
         if len(ranges) < 2:
             result = engine.run_range(queries, 0, k_needed)
             return result.hits, result.sweeps, 1
-        stream = (engine.seed, engine.chunk_size, engine.sweep, engine.kernels)
+        stream = (engine.seed, engine.chunk_size, engine.kernels)
         try:
             hits, sweeps = self._dispatch(
                 self._ensure_started(), stream, queries, ranges
@@ -242,7 +246,7 @@ class WorkerPool:
     def _dispatch(
         self,
         executor: ProcessPoolExecutor,
-        stream: Tuple[int, int, str, str],
+        stream: Tuple[int, int, str],
         queries: Sequence[BatchQuery],
         ranges: Sequence[Tuple[int, int]],
     ) -> Tuple[np.ndarray, int]:
@@ -340,13 +344,33 @@ def shared_pool(graph: UncertainGraph, workers: int) -> WorkerPool:
     return pool
 
 
-def close_shared_pools() -> None:
-    """Close and forget every registry pool (test isolation, atexit)."""
+def registered_pool(graph: UncertainGraph) -> Optional[WorkerPool]:
+    """The registry's pool for ``graph`` if there is one; never creates it."""
+    key = graph_fingerprint(graph)
     with _REGISTRY_LOCK:
-        pools = list(_REGISTRY.values())
-        _REGISTRY.clear()
+        return _REGISTRY.get(key)
+
+
+def close_shared_pools(graph: Optional[UncertainGraph] = None) -> int:
+    """Close and forget registry pools; returns how many there were.
+
+    Every pool (test isolation, atexit), or only ``graph``'s — how a
+    service retires the pool of a graph version it stops serving.  Runs
+    still dispatching on a retired pool finish inline
+    (:class:`PoolClosedError`); a later run over the same fingerprint
+    simply registers a fresh pool.
+    """
+    key = None if graph is None else graph_fingerprint(graph)
+    with _REGISTRY_LOCK:
+        if key is None:
+            pools = list(_REGISTRY.values())
+            _REGISTRY.clear()
+        else:
+            pool = _REGISTRY.pop(key, None)
+            pools = [] if pool is None else [pool]
     for pool in pools:
         pool.close()
+    return len(pools)
 
 
 atexit.register(close_shared_pools)
@@ -356,5 +380,6 @@ __all__ = [
     "PoolClosedError",
     "WorkerPool",
     "shared_pool",
+    "registered_pool",
     "close_shared_pools",
 ]

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.estimators.base import Estimator
+from repro.core.estimators.base import EngineFactory, Estimator
 from repro.datasets.queries import QueryWorkload
 from repro.util.rng import stable_substream
 from repro.util.stats import dispersion_index
@@ -113,9 +113,8 @@ def evaluate_at_k(
     repeats: int,
     seed: int = 0,
     use_batch: bool = False,
-    workers: Optional[int] = None,
     max_hops: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    engine: Optional[EngineFactory] = None,
 ) -> SamplePoint:
     """Measure one (estimator, K) grid point over the whole workload.
 
@@ -132,30 +131,23 @@ def evaluate_at_k(
     which leaves every per-pair marginal distribution — and hence the
     dispersion protocol's statistics — unchanged.
 
-    ``workers`` (multiprocess chunk evaluation), ``max_hops`` (§2.9
-    d-hop reliability: every query becomes "reaches within ``max_hops``
-    edges"), and ``cache_dir`` (the persistent result cache: a re-run of
-    the same study warm-starts from the sidecar) ride on the batch path
-    and therefore require ``use_batch=True``; ``workers`` and
-    ``cache_dir`` cannot change estimates, ``max_hops`` changes the
-    measured quantity itself.
+    ``max_hops`` (§2.9 d-hop reliability: every query becomes "reaches
+    within ``max_hops`` edges") rides on the batch path and therefore
+    requires ``use_batch=True``; it changes the measured quantity
+    itself.  ``engine`` is the engine factory handed to
+    ``estimate_batch`` — workers, result cache and kernels are whatever
+    it configures, e.g. a service's — and cannot change estimates; the
+    per-pair loop builds no engine and ignores it.
     """
     if max_hops is not None and not use_batch:
         raise ValueError(
             "max_hops measures d-hop reliability through the batch "
             "engine; pass use_batch=True"
         )
-    if cache_dir is not None and not use_batch:
-        raise ValueError(
-            "cache_dir persists batch-engine results; pass use_batch=True"
-        )
     pair_count = len(workload)
     estimates = np.zeros((pair_count, repeats), dtype=np.float64)
     started = time.perf_counter()
     if use_batch:
-        # Forwarded only when set, so externally registered estimators
-        # whose estimate_batch predates the cache_dir knob keep working.
-        options = {} if cache_dir is None else {"cache_dir": cache_dir}
         for repeat in range(repeats):
             queries = [
                 (source, target, samples)
@@ -166,8 +158,7 @@ def evaluate_at_k(
             estimates[:, repeat] = estimator.estimate_batch(
                 queries,
                 seed=_batch_repeat_seed(seed, repeat, samples),
-                workers=workers,
-                **options,
+                engine=engine,
             )
     else:
         for pair_index, (source, target) in enumerate(workload):
@@ -204,24 +195,22 @@ def run_convergence(
     seed: int = 0,
     stop_at_convergence: bool = False,
     use_batch: bool = False,
-    workers: Optional[int] = None,
     max_hops: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    engine: Optional[EngineFactory] = None,
 ) -> ConvergenceResult:
     """Walk the K grid until the dispersion criterion fires.
 
     With ``stop_at_convergence=False`` (default) the full grid is measured —
     needed by the trade-off figures (9-11), which plot past convergence.
     ``use_batch`` routes each grid point through the workload-at-once path
-    of :func:`evaluate_at_k`; ``workers``, ``max_hops``, and ``cache_dir``
-    are forwarded to it (all require the batch path).
+    of :func:`evaluate_at_k`; ``max_hops`` (which requires the batch
+    path) and ``engine`` are forwarded to it.
     """
     result = ConvergenceResult(estimator_key=getattr(estimator, "key", "?"))
     for samples in criterion.grid():
         point = evaluate_at_k(
             estimator, workload, samples, repeats, seed,
-            use_batch=use_batch, workers=workers, max_hops=max_hops,
-            cache_dir=cache_dir,
+            use_batch=use_batch, max_hops=max_hops, engine=engine,
         )
         result.points.append(point)
         converged = (

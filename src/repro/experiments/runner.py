@@ -55,16 +55,6 @@ class StudyConfig:
     #: to keep the per-(pair, repeat) substream protocol of the paper's
     #: tables bit-for-bit stable.
     use_batch_engine: bool = False
-    #: Worker processes for engine-backed batch evaluation (``None`` = the
-    #: engine default).  A pure wall-clock knob: by the engine's
-    #: determinism contract it cannot change any measured estimate.
-    engine_workers: Optional[int] = None
-    #: Directory of the persistent result-cache sidecar for engine-backed
-    #: batch evaluation (``None`` = in-memory only).  Like ``workers`` a
-    #: pure wall-clock knob — the cache key fully determines each
-    #: estimate — but one that survives the process: re-running the same
-    #: study serves every grid point from disk.
-    engine_cache_dir: Optional[str] = None
     #: Hop bound for §2.9 d-hop reliability studies: every workload query
     #: measures "reaches within max_hops edges" instead of plain
     #: reachability.  Requires ``use_batch_engine=True`` and an estimator
@@ -221,7 +211,14 @@ def run_study(config: StudyConfig, *, service=None) -> StudyResult:
     does), or one is built here from the config's ``(dataset, scale,
     seed)``.  Either way estimators come from the facade's construction
     hook, so the CLI, the HTTP server, and the experiment harness share
-    a single code path into the estimator registry.
+    a single code path into the estimator registry — and, for batch
+    studies, into the engine: every batch runs on an engine from the
+    service's factory, so worker processes, kernels and the (possibly
+    persistent) result cache are the service's own.  The cache key
+    carries no estimator, so in a batch study ``bfs_sharing`` replays
+    what ``mc`` already sampled (the two are bit-identical at equal
+    seed) and its runtime column measures that replay — as it always
+    did under a persistent cache.
     """
     if service is None:
         # Imported lazily: experiments sit below api in the layer
@@ -259,9 +256,8 @@ def run_study(config: StudyConfig, *, service=None) -> StudyResult:
             repeats=config.repeats,
             seed=config.seed,
             use_batch=config.use_batch_engine,
-            workers=config.engine_workers,
             max_hops=config.max_hops,
-            cache_dir=config.engine_cache_dir,
+            engine=service._engine,
         )
 
     reference_key = (

@@ -64,9 +64,9 @@ actually proceed in parallel — engine-backed requests run completely
 unlocked against the shared thread-safe result cache, stats/health
 snapshots never wait on a running engine, and only calls into one shared
 stateful estimator serialise (per method).  When the service is
-configured with ``workers > 1`` it also owns one long-lived
-:class:`~repro.engine.pool.WorkerPool` — pre-forked with the graph
-loaded — that every served engine run shares, so multi-worker requests
+configured with ``workers > 1`` its engine runs also share the
+process-wide :class:`~repro.engine.pool.WorkerPool` of the served graph
+version — pre-forked with the graph loaded — so multi-worker requests
 dispatch world ranges to standing workers and the graph is pickled
 once, at fork.  The engine's determinism contract
 makes concurrent identical requests **bit-identical** however the
@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
 import time
 import traceback
@@ -457,12 +458,22 @@ def serve(
     ready_callback: Optional[Callable[[ReliabilityHTTPServer], None]] = None,
     rewarm_top: int = DEFAULT_REWARM_TOP,
 ) -> None:
-    """Run the server until interrupted (the ``repro serve`` body)."""
+    """Run the server until interrupted (the ``repro serve`` body).
+
+    Ctrl-C and SIGTERM take the same road out: stop accepting, close the
+    service (sidecar flushed, its worker pool shut down), return — so the
+    interpreter exits normally and no pool process outlives the server.
+    Signal handlers belong to the main thread; called from any other,
+    SIGTERM keeps its previous disposition.
+    """
     server = create_server(
         service, host, port, quiet=quiet, rewarm_top=rewarm_top
     )
     if ready_callback is not None:
         ready_callback(server)
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -470,6 +481,8 @@ def serve(
     finally:
         server.server_close()
         service.close()
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 __all__ = [

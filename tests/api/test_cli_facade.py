@@ -134,7 +134,6 @@ class TestCliPurity:
         "ProbTreeEstimator",
         # engine / cache construction
         "BatchEngine",
-        "estimate_workload",
         "ResultCache",
         "open_result_cache",
         "PersistentResultCache",

@@ -10,8 +10,10 @@ from repro.api import (
     coerce_query_specs,
 )
 from repro.core.graph import UncertainGraph
+from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
+from repro.engine.pool import registered_pool
 
 SEED = 11
 
@@ -148,31 +150,76 @@ class TestEstimatorMaintenance:
 
 
 class TestPoolLifecycle:
-    def test_update_retires_the_fingerprint_pinned_pool(self):
+    """The service owns no pool: versions map to registry pools."""
+
+    def test_update_retires_the_predecessors_registry_pool(self):
         with make_service(workers=2) as service:
+            assert service.stats()["pool"] is None
             batch(service, workers=2)
-            pool = service._pool
+            predecessor = service.graph
+            pool = registered_pool(predecessor)
             assert pool is not None
-            assert pool.fingerprint == graph_fingerprint(service.graph)
+            assert pool.fingerprint == graph_fingerprint(predecessor)
+            assert service.stats()["pool"] == pool.statistics()
+            assert service.stats()["pool"]["started"] is True
             response = service.update(
                 UpdateRequest(set_edges=((0, 1, 0.5),))
             )
             assert response.pool == "respawned"
             assert pool.closed
-            assert service._pool is None
-            # The next multi-worker run respawns against the successor.
+            assert registered_pool(predecessor) is None
+            assert service.stats()["pool"] is None
+            # The next multi-worker run registers one for the successor.
             batch(service, workers=2)
-            assert service._pool is not None
-            assert service._pool.fingerprint == graph_fingerprint(
+            successor_pool = registered_pool(service.graph)
+            assert successor_pool is not None and not successor_pool.closed
+            assert successor_pool.fingerprint == graph_fingerprint(
                 service.graph
             )
+            assert service.stats()["pool"]["workers"] == 2
+        # Closing the service retires the pool of the graph it served.
+        assert successor_pool.closed
+        assert registered_pool(service.graph) is None
 
     def test_update_without_a_pool_reports_none(self):
-        with make_service() as service:
+        with make_service(workers=1) as service:
+            batch(service)
             response = service.update(
                 UpdateRequest(set_edges=((0, 1, 0.5),))
             )
             assert response.pool == "none"
+            assert service.stats()["pool"] is None
+
+    def test_a_run_in_flight_across_an_update_finishes_inline(
+        self, monkeypatch
+    ):
+        with make_service(workers=1) as inline:
+            reference = batch(inline)
+        resolve_pool = pool_module.shared_pool
+        with make_service(workers=2) as service:
+            predecessor = service.graph
+
+            def update_lands_after_the_run_resolved_its_pool(graph, workers):
+                pool = resolve_pool(graph, workers)
+                monkeypatch.setattr(pool_module, "shared_pool", resolve_pool)
+                service.update(UpdateRequest(set_edges=((0, 1, 0.5),)))
+                return pool  # retired under the run's feet
+
+            monkeypatch.setattr(
+                pool_module,
+                "shared_pool",
+                update_lands_after_the_run_resolved_its_pool,
+            )
+            response = batch(service, workers=2)
+            # PoolClosedError -> the chunk loop ran in this thread, over
+            # the version the run had snapshot.
+            assert service.graph is not predecessor
+            assert response.engine.workers == 1
+            assert response.engine.fingerprint == graph_fingerprint(
+                predecessor
+            )
+            assert response.estimates == reference.estimates
+            assert registered_pool(predecessor) is None
 
 
 class TestQueryLogAndRewarm:

@@ -34,6 +34,7 @@ from repro.api import (
 from repro.datasets.suite import load_dataset
 from repro.distributed import (
     CoordinatedReliabilityService,
+    ShardCoordinator,
     ShardTierConfig,
 )
 from repro.serve import create_server
@@ -117,6 +118,37 @@ class TestWireCompatibility:
         assert normalized(distributed) == normalized(reference)
         assert distributed["engine"]["mode"] == "distributed"
         assert distributed["engine"]["workers"] == 2
+
+    def test_a_service_configured_with_a_coordinator_is_the_same_service(
+        self, tier
+    ):
+        # The subclass is nothing but a constructor: a plain service
+        # handed the evaluator answers with the same bytes.
+        coordinator, workers = tier
+        loaded = load_dataset("lastfm", "tiny", SEED)
+        configured = ReliabilityService(
+            loaded.graph,
+            seed=SEED,
+            dataset=loaded,
+            evaluator=ShardCoordinator(
+                [w[1].url for w in workers], config=FAST
+            ),
+        )
+
+        def wire_bytes(service):
+            document = service.estimate_batch(WORKLOAD).to_dict()
+            assert document["engine"]["mode"] == "distributed"
+            document["engine"]["seconds"] = 0.0  # the one wall clock
+            return json.dumps(document)
+
+        with configured:
+            assert wire_bytes(configured) == wire_bytes(coordinator)
+            # ...and only engine-backed batches reach the tier.
+            assert configured.evaluator.statistics()["batches"] == 1
+            configured.estimate_batch(
+                BatchRequest(queries=WORKLOAD.queries[:2], method="prob_tree")
+            )
+            assert configured.evaluator.statistics()["batches"] == 1
 
     def test_deterministic_counters_match_exactly(self, tier):
         coordinator, _ = tier

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.estimators.base import Estimator
 from repro.core.estimators.monte_carlo import MonteCarloEstimator
-from repro.engine.batch import BatchEngine, estimate_workload
+from repro.engine.batch import BatchEngine
 from repro.engine.cache import ResultCache
 from repro.experiments.convergence import evaluate_at_k
 from repro.datasets.queries import QueryWorkload
@@ -63,24 +63,26 @@ class TestAgreement:
         )
 
 
-class TestSweepModes:
-    def test_bitset_and_per_world_agree_exactly(self, graph):
-        bitset_run = BatchEngine(graph, seed=5, sweep="bitset").run(WORKLOAD)
-        per_world = BatchEngine(graph, seed=5, sweep="per_world").run(WORKLOAD)
-        np.testing.assert_array_equal(
-            bitset_run.estimates, per_world.estimates
-        )
-
-    def test_unknown_sweep_mode_rejected(self, graph):
-        with pytest.raises(ValueError):
-            BatchEngine(graph, sweep="telepathy")
+class TestPerWorldOracle:
+    """The packed sweep against ``run_sequential``, the per-world walk."""
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 64])
-    def test_per_world_sweep_chunk_independent(self, graph, chunk_size):
-        reference = BatchEngine(graph, seed=5, sweep="per_world").run(WORKLOAD)
+    def test_packed_sweep_equals_the_oracle_at_any_chunk_size(
+        self, graph, chunk_size
+    ):
+        # Budgets of 150..400 clip inside, at and across chunk boundaries.
+        oracle = BatchEngine(graph, seed=5).run_sequential(WORKLOAD)
+        packed = BatchEngine(graph, seed=5, chunk_size=chunk_size).run(
+            WORKLOAD
+        )
+        np.testing.assert_array_equal(oracle.estimates, packed.estimates)
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 64])
+    def test_oracle_is_chunk_independent(self, graph, chunk_size):
+        reference = BatchEngine(graph, seed=5).run_sequential(WORKLOAD)
         chunked = BatchEngine(
-            graph, seed=5, sweep="per_world", chunk_size=chunk_size
-        ).run(WORKLOAD)
+            graph, seed=5, chunk_size=chunk_size
+        ).run_sequential(WORKLOAD)
         np.testing.assert_array_equal(
             reference.estimates, chunked.estimates
         )
@@ -183,9 +185,28 @@ class TestEstimatorIntegration:
         b = Estimator.estimate_batch(mc, WORKLOAD, seed=5)
         np.testing.assert_array_equal(a, b)
 
-    def test_convenience_wrapper(self, graph):
-        result = estimate_workload(graph, [(0, 3, 100)], seed=5)
-        assert len(result) == 1
+    def test_engine_factory_builds_the_batch_engine(self, graph):
+        cache = ResultCache(capacity=64)
+        built = []
+
+        def factory(factory_graph, *, seed):
+            built.append(
+                BatchEngine(factory_graph, seed=seed, cache=cache)
+            )
+            return built[-1]
+
+        mc = MonteCarloEstimator(graph, seed=0)
+        first = mc.estimate_batch(WORKLOAD, seed=5, engine=factory)
+        second = mc.estimate_batch(WORKLOAD, seed=5, engine=factory)
+        assert [engine.graph for engine in built] == [graph, graph]
+        assert [engine.seed for engine in built] == [5, 5]
+        # The factory's cache is the one the runs used.
+        assert mc.last_batch_result.worlds_sampled == 0
+        assert mc.last_batch_result.cache_hits == len(set(WORKLOAD))
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(
+            first, BatchEngine(graph, seed=5).run(WORKLOAD).estimates
+        )
 
 
 class TestRunnerWiring:

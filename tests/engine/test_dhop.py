@@ -8,6 +8,8 @@ planner, and that the result cache never serves an estimate across
 different hop bounds.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -44,16 +46,12 @@ class TestSemantics:
         assert result.estimates[0] == 0.0
         assert result.estimates[1] == pytest.approx(0.512, abs=0.03)
 
-    def test_sweep_modes_agree_on_dhop(self, graph):
-        workload = [(0, 3, 300, 2), (0, 5, 300, 1), (2, 6, 200, 3), (0, 3, 300)]
-        bitset_run = BatchEngine(graph, seed=5, sweep="bitset").run(workload)
-        per_world = BatchEngine(graph, seed=5, sweep="per_world").run(workload)
-        np.testing.assert_array_equal(
-            bitset_run.estimates, per_world.estimates
-        )
-
     def test_sequential_oracle_agrees_on_dhop(self, graph):
-        workload = [(0, 3, 300, 2), (0, 5, 150, 1)]
+        # Mixed bounds from one source, a bounded/unbounded pair on one
+        # (s, t), and budgets that clip mid-chunk.
+        workload = [
+            (0, 3, 300, 2), (0, 5, 150, 1), (2, 6, 200, 3), (0, 3, 300),
+        ]
         batch = BatchEngine(graph, seed=5).run(workload)
         sequential = BatchEngine(graph, seed=5).run_sequential(workload)
         np.testing.assert_array_equal(batch.estimates, sequential.estimates)
@@ -125,14 +123,15 @@ class TestConvergenceWiring:
         # Same worlds, stricter indicator: per-pair means can only shrink.
         assert (bounded.per_pair_means <= unbounded.per_pair_means).all()
 
-    def test_workers_cannot_change_a_grid_point(self, graph):
+    def test_the_engine_factory_cannot_change_a_grid_point(self, graph):
         workload = QueryWorkload(pairs=((0, 3), (1, 4)), hop_distance=2, seed=0)
         mc = MonteCarloEstimator(graph, seed=0)
         serial = evaluate_at_k(
             mc, workload, 300, repeats=2, seed=0, use_batch=True
         )
         parallel = evaluate_at_k(
-            mc, workload, 300, repeats=2, seed=0, use_batch=True, workers=2
+            mc, workload, 300, repeats=2, seed=0, use_batch=True,
+            engine=functools.partial(BatchEngine, workers=2, chunk_size=64),
         )
         np.testing.assert_array_equal(
             serial.per_pair_means, parallel.per_pair_means

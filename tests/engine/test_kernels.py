@@ -2,13 +2,12 @@
 
 The vectorized kernels of :mod:`repro.engine.kernels` claim *bit
 identity* with the per-node Python kernels they replace — the monotone
-fixpoint has one solution whatever the evaluation schedule, and
-reachability in a materialised world is a fact, not an estimate.  This
+fixpoint has one solution whatever the evaluation schedule.  This
 suite pins the claim over hypothesis-generated graphs (including
 self-loops, which the graph constructor drops; disconnected nodes; hop
 bounds; and empty worlds where no edge exists), then re-asserts it at
-engine level for both sweep strategies and at service level for every
-engine-backed estimator path.
+engine level (against the per-world sequential oracle too) and at
+service level for every engine-backed estimator path.
 
 Derandomized like the oracle-conformance suite: a failure is a bug,
 never a coin flip.
@@ -21,12 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core.estimators.bfs_sharing import shared_reachability_fixpoint
 from repro.core.graph import UncertainGraph
-from repro.core.possible_world import ReachabilitySampler, forced_from_mask
 from repro.engine.batch import BatchEngine
 from repro.engine.kernels import (
     KERNEL_MODES,
     KERNELS_ENV_VAR,
-    reach_targets_in_world,
     resolve_kernels,
     shared_fixpoint_vectorized,
 )
@@ -117,38 +114,6 @@ class TestSharedFixpointConformance:
             shared_fixpoint_vectorized(graph, edge_bits, 0, 65)
 
 
-class TestReachTargetsConformance:
-    """``reach_targets_in_world`` vs the sampler's forced-world sweep."""
-
-    @CONFORMANCE_SETTINGS
-    @given(parts=small_graph_parts, seed=st.integers(0, 2**16))
-    def test_indicators_bit_identical(self, parts, seed):
-        graph = build(parts)
-        rng = np.random.default_rng(seed)
-        mask = rng.random(graph.edge_count) < graph.probs
-        forced = forced_from_mask(mask)
-        sampler = ReachabilitySampler(graph)
-        targets = np.arange(graph.node_count, dtype=np.int64)
-        for source in range(graph.node_count):
-            for max_hops in HOP_BOUNDS:
-                reference = sampler.reach_targets(
-                    source, targets, rng=None, forced=forced, max_hops=max_hops
-                )
-                vectorized = reach_targets_in_world(
-                    graph, mask, source, targets, max_hops=max_hops
-                )
-                np.testing.assert_array_equal(vectorized, reference)
-
-    def test_empty_world_reaches_only_source(self):
-        graph = random_graph(seed=7, node_count=6, edge_probability=0.5)
-        mask = np.zeros(graph.edge_count, dtype=bool)
-        targets = np.arange(graph.node_count, dtype=np.int64)
-        reached = reach_targets_in_world(graph, mask, 2, targets)
-        expected = np.zeros(graph.node_count, dtype=bool)
-        expected[2] = True
-        np.testing.assert_array_equal(reached, expected)
-
-
 #: Mixed workload shared by the engine-level tests: duplicates, shared
 #: sources, distinct budgets, and d-hop twins (as in test_parallel).
 WORKLOAD = [
@@ -169,13 +134,12 @@ def graph():
 
 
 class TestEngineKernelConformance:
-    @pytest.mark.parametrize("sweep", ["bitset", "per_world"])
-    def test_vectorized_equals_python_exactly(self, graph, sweep):
+    def test_vectorized_equals_python_exactly(self, graph):
         python = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep, kernels="python"
+            graph, seed=5, chunk_size=64, kernels="python"
         ).run(WORKLOAD)
         vectorized = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep, kernels="vectorized"
+            graph, seed=5, chunk_size=64, kernels="vectorized"
         ).run(WORKLOAD)
         np.testing.assert_array_equal(vectorized.estimates, python.estimates)
         assert vectorized.worlds_sampled == python.worlds_sampled

@@ -9,6 +9,8 @@ seeds, worker counts, and d-hop bounds.  (Failure paths of the pool
 itself live in ``test_pool.py``.)
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,16 +61,6 @@ class TestBitForBitAgreement:
         ).run(WORKLOAD)
         oracle = BatchEngine(graph, seed=9).run_sequential(WORKLOAD)
         np.testing.assert_array_equal(parallel.estimates, oracle.estimates)
-
-    @pytest.mark.parametrize("sweep", ["bitset", "per_world"])
-    def test_both_sweep_modes_parallelise(self, graph, sweep):
-        serial = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep
-        ).run(WORKLOAD)
-        parallel = BatchEngine(
-            graph, seed=5, chunk_size=64, sweep=sweep, workers=2
-        ).run(WORKLOAD)
-        np.testing.assert_array_equal(serial.estimates, parallel.estimates)
 
     @settings(
         max_examples=8,
@@ -195,10 +187,17 @@ class TestConfiguration:
 
 
 class TestEstimatorIntegration:
-    def test_mc_workers_kwarg_cannot_change_estimates(self, graph):
+    def test_a_multi_worker_engine_factory_cannot_change_estimates(
+        self, graph
+    ):
         mc = MonteCarloEstimator(graph, seed=0)
-        serial = mc.estimate_batch(WORKLOAD, seed=5, chunk_size=64)
-        parallel = mc.estimate_batch(
-            WORKLOAD, seed=5, chunk_size=64, workers=2
+        serial = mc.estimate_batch(
+            WORKLOAD, seed=5,
+            engine=functools.partial(BatchEngine, chunk_size=64, workers=1),
         )
+        parallel = mc.estimate_batch(
+            WORKLOAD, seed=5,
+            engine=functools.partial(BatchEngine, chunk_size=64, workers=2),
+        )
+        assert mc.last_batch_result.workers == 2
         np.testing.assert_array_equal(serial, parallel)

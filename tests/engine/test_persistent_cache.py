@@ -114,9 +114,9 @@ class TestFingerprintIsolation:
         mutated = UncertainGraph(3, [(0, 1, 0.5), (1, 2, 0.26)])
         assert graph_fingerprint(original) != graph_fingerprint(mutated)
 
-        first = BatchEngine(original, seed=0, cache_dir=str(cache_dir))
-        warm = BatchEngine(original, seed=0, cache_dir=str(cache_dir))
-        cold = BatchEngine(mutated, seed=0, cache_dir=str(cache_dir))
+        first = BatchEngine(original, seed=0, cache=open_result_cache(cache_dir))
+        warm = BatchEngine(original, seed=0, cache=open_result_cache(cache_dir))
+        cold = BatchEngine(mutated, seed=0, cache=open_result_cache(cache_dir))
         workload = [(0, 2, 150)]
         first.run(workload)
         assert warm.run(workload).worlds_sampled == 0
@@ -194,13 +194,13 @@ class TestHopBoundIsolation:
         graph = UncertainGraph(4, [(0, 1, 0.8), (1, 2, 0.8), (2, 3, 0.8)])
         bounded = [(0, 3, 120, 2)]
         unbounded = [(0, 3, 120)]
-        first = BatchEngine(graph, seed=0, cache_dir=cache_dir)
+        first = BatchEngine(graph, seed=0, cache=open_result_cache(cache_dir))
         first.run(bounded)
         # The unbounded query must not be served the 2-hop number.
-        second = BatchEngine(graph, seed=0, cache_dir=cache_dir)
+        second = BatchEngine(graph, seed=0, cache=open_result_cache(cache_dir))
         cold = second.run(unbounded)
         assert cold.cache_hits == 0
-        third = BatchEngine(graph, seed=0, cache_dir=cache_dir)
+        third = BatchEngine(graph, seed=0, cache=open_result_cache(cache_dir))
         assert third.run(bounded).worlds_sampled == 0
 
 
@@ -299,24 +299,15 @@ class TestEngineIntegration:
         cache_dir = str(tmp_path / "cache")
         graph = UncertainGraph(4, [(0, 1, 0.8), (1, 2, 0.8), (2, 3, 0.8)])
         workload = [(0, 3, 200), (0, 2, 150)]
-        cold = BatchEngine(graph, seed=3, cache_dir=cache_dir).run(workload)
+        cold = BatchEngine(
+            graph, seed=3, cache=open_result_cache(cache_dir)
+        ).run(workload)
         assert cold.worlds_sampled == 200
-        warm_engine = BatchEngine(graph, seed=3, cache_dir=cache_dir)
+        warm_engine = BatchEngine(graph, seed=3, cache=open_result_cache(cache_dir))
         warm = warm_engine.run(workload)
         assert warm.worlds_sampled == 0
         assert warm.cache_hits == len(workload)
         np.testing.assert_array_equal(cold.estimates, warm.estimates)
-
-    def test_explicit_cache_wins_over_cache_dir(self, tmp_path):
-        from repro.engine.cache import ResultCache
-
-        graph = UncertainGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        cache = ResultCache(8)
-        engine = BatchEngine(
-            graph, seed=0, cache=cache, cache_dir=str(tmp_path / "cache")
-        )
-        assert engine.cache is cache
-        assert not (tmp_path / "cache").exists()
 
 
 class CountingConnection:

@@ -24,6 +24,7 @@ from repro.engine.pool import (
     PoolClosedError,
     WorkerPool,
     close_shared_pools,
+    registered_pool,
     shared_pool,
 )
 from tests.conftest import random_graph
@@ -195,6 +196,24 @@ class TestSharedRegistry:
         np.testing.assert_array_equal(pooled.estimates, serial.estimates)
         registry_pool = shared_pool(graph, workers=2)
         assert registry_pool.statistics()["runs"] == 1
+
+    def test_a_single_chunk_run_claims_no_registry_slot(self, graph):
+        # Nothing to split: the run stays in-thread and must not register
+        # (or, at capacity, evict) a pool on its way.
+        result = BatchEngine(graph, seed=5, chunk_size=512, workers=2).run(
+            WORKLOAD
+        )
+        assert result.workers == 1
+        assert registered_pool(graph) is None
+
+    def test_one_graphs_pool_is_retired_alone(self, graph):
+        other = random_graph(seed=12, node_count=12, edge_probability=0.25)
+        kept, retired = shared_pool(other, 1), shared_pool(graph, 1)
+        assert close_shared_pools(graph) == 1
+        assert retired.closed and not kept.closed
+        assert registered_pool(graph) is None
+        assert registered_pool(other) is kept
+        assert close_shared_pools(graph) == 0
 
 
 class RangeBoom(RuntimeError):

@@ -1,5 +1,7 @@
 """Tests for the convergence framework (paper §3.1.4)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.core.estimators.base import Estimator
 from repro.core.estimators.monte_carlo import MonteCarloEstimator
 from repro.core.graph import UncertainGraph
 from repro.datasets.queries import QueryWorkload
+from repro.engine.batch import BatchEngine
+from repro.engine.cache import ResultCache
 from repro.experiments.convergence import (
     ConvergenceCriterion,
     evaluate_at_k,
@@ -153,33 +157,24 @@ class TestRunConvergence:
         assert result.points[-1].average_variance < result.points[0].average_variance
 
 
-class TestCacheDirWiring:
-    def test_cache_dir_requires_the_batch_path(self, graph, workload):
-        mc = MonteCarloEstimator(graph, seed=0)
-        with pytest.raises(ValueError, match="use_batch"):
-            evaluate_at_k(
-                mc, workload, samples=100, repeats=2, seed=0,
-                cache_dir="/tmp/nope",
-            )
-
-    def test_cached_grid_point_replays_identically(
-        self, graph, workload, tmp_path
-    ):
-        cache_dir = str(tmp_path / "cache")
+class TestEngineFactoryWiring:
+    def test_cached_grid_point_replays_identically(self, graph, workload):
+        # One factory, one cache — the shape a service hands a study.
+        engine = functools.partial(BatchEngine, cache=ResultCache(64))
         mc = MonteCarloEstimator(graph, seed=0)
         cold = evaluate_at_k(
             mc, workload, samples=150, repeats=2, seed=1,
-            use_batch=True, cache_dir=cache_dir,
+            use_batch=True, engine=engine,
         )
         warm_mc = MonteCarloEstimator(graph, seed=0)
         warm = evaluate_at_k(
             warm_mc, workload, samples=150, repeats=2, seed=1,
-            use_batch=True, cache_dir=cache_dir,
+            use_batch=True, engine=engine,
         )
         np.testing.assert_array_equal(
             cold.per_pair_means, warm.per_pair_means
         )
-        # The warm grid point was served from the sidecar: its last
-        # repeat's batch sampled nothing, while the cold run sampled.
+        # The warm grid point was served from the factory's cache: its
+        # last repeat's batch sampled nothing, while the cold run sampled.
         assert mc.last_batch_result.worlds_sampled > 0
         assert warm_mc.last_batch_result.worlds_sampled == 0

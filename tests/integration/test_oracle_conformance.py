@@ -19,6 +19,8 @@ The suite is derandomized: same graphs, same seeds, every run — a
 conformance gate, not a statistical coin flip.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -199,7 +201,10 @@ class TestKernelAndPoolConformance:
             estimator = create_estimator(key, graph, seed=0)
             np.testing.assert_array_equal(
                 estimator.estimate_batch(
-                    queries, seed=11, kernels="vectorized"
+                    queries, seed=11,
+                    engine=functools.partial(
+                        BatchEngine, kernels="vectorized"
+                    ),
                 ),
                 oracle.estimates,
             )

@@ -7,6 +7,20 @@ import pytest
 from repro.cli import main
 
 
+def assert_rejected(failure, *fields):
+    """A `repro batch` run that exited non-zero, naming every ``fields``.
+
+    The rules and their wording are the service's
+    (``ReliabilityService.check_batch_request``), phrased in request-field
+    terms; the CLI only prefixes them.  ``SystemExit`` carrying a message
+    is exit status 1.
+    """
+    message = failure.value.code
+    assert isinstance(message, str) and message.startswith("repro batch: ")
+    for field in fields:
+        assert field in message, message
+
+
 class TestEstimate:
     def test_basic_query(self, capsys):
         code = main(
@@ -344,8 +358,9 @@ class TestBatchFastPaths:
 
     def test_sequential_oracle_refuses_cache_dir(self, tmp_path):
         path = self._write_queries(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit, match="--sequential oracle bypasses"):
+        with pytest.raises(SystemExit) as failure:
             self._run(path, "--sequential", "--cache-dir", str(tmp_path))
+        assert_rejected(failure, "sequential", "persists results")
 
     def test_prob_tree_accepts_cache_dir(self, capsys, tmp_path):
         path = self._write_queries(tmp_path, "0 5 200\n")
@@ -452,15 +467,17 @@ class TestBatchValidation:
 
     def test_sequential_requires_mc(self, tmp_path):
         path = self._write(tmp_path, "[[0, 5, 100]]")
-        with pytest.raises(SystemExit, match="--method mc"):
+        with pytest.raises(SystemExit) as failure:
             main(["batch", "--queries", path, "--dataset", "lastfm",
                   "--scale", "tiny", "--method", "rhh", "--sequential"])
+        assert_rejected(failure, "sequential", "'mc'")
 
     def test_chunk_size_requires_mc(self, tmp_path):
         path = self._write(tmp_path, "[[0, 5, 100]]")
-        with pytest.raises(SystemExit, match="--method mc"):
+        with pytest.raises(SystemExit) as failure:
             main(["batch", "--queries", path, "--dataset", "lastfm",
                   "--scale", "tiny", "--method", "rhh", "--chunk-size", "8"])
+        assert_rejected(failure, "chunk_size", "'mc'")
 
 
 class TestBatchFailurePaths:
@@ -504,13 +521,15 @@ class TestBatchFailurePaths:
 
     def test_nonpositive_max_hops_flag_rejected(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit, match="--max-hops must be a positive"):
+        with pytest.raises(SystemExit) as failure:
             self._run(path, "--max-hops", "0")
+        assert_rejected(failure, "max_hops must be a positive integer")
 
     def test_nonpositive_workers_flag_rejected(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit, match="--workers must be a positive"):
+        with pytest.raises(SystemExit) as failure:
             self._run(path, "--workers", "0")
+        assert_rejected(failure, "workers must be a positive integer")
 
     def test_validation_precedes_sampling_for_fallback_methods(self, tmp_path):
         # The per-query loop would only hit the bad entry after answering
@@ -521,8 +540,9 @@ class TestBatchFailurePaths:
 
     def test_workers_requires_a_fast_path(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit, match="--workers rides on a batch fast path"):
+        with pytest.raises(SystemExit) as failure:
             self._run(path, "--method", "rhh", "--workers", "2")
+        assert_rejected(failure, "workers", "'rhh'")
 
     def test_cache_dir_requires_a_fast_path(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
@@ -543,8 +563,9 @@ class TestBatchFailurePaths:
 
     def test_sequential_oracle_refuses_workers(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit, match="--sequential"):
+        with pytest.raises(SystemExit) as failure:
             self._run(path, "--sequential", "--workers", "2")
+        assert_rejected(failure, "sequential", "workers")
 
 
 class TestBatchJsonForms:
