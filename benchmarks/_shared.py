@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark suite.
 
-Every benchmark file reproduces one table or figure of the paper (see
-DESIGN.md §4).  Most of them read off a per-dataset *study* (full
+Every benchmark file reproduces one table or figure of the paper, named
+in its docstring.  Most of them read off a per-dataset *study* (full
 convergence grid for all six estimators), which is expensive — so studies
 are memoised here and shared across benchmark files within one pytest run.
 
@@ -19,7 +19,7 @@ REPRO_BENCH_DATASETS   all six  comma-separated dataset subset
 
 The paper's full protocol is 100 pairs x 100 repeats on million-edge
 graphs; the defaults here keep the whole suite around tens of minutes in
-pure Python while preserving every comparative shape (see EXPERIMENTS.md).
+pure Python while preserving every comparative shape.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Ablations of this reproduction's own design choices (DESIGN.md §6).
+"""Ablations of this reproduction's own design choices.
 
 Not a paper table — these quantify implementation decisions the paper's
-C++ substrate never had to make, so EXPERIMENTS.md can justify them:
+C++ substrate never had to make:
 
 * LP+ engines: the literal per-edge heap (Alg. 6's data structure) vs the
   vectorised per-level array schedule (identical semantics).

@@ -11,6 +11,10 @@ endpoints are online simultaneously.  This example:
 3. finds the relay peer whose churn would hurt the best transfer most
    (conditional-reliability failure impact).
 
+All three read the batch engine's world stream: top-k and the reliable
+set rank / threshold the downloader's all-targets row, and a failed
+relay is ordinary reliability on the graph with its links removed.
+
 Run:  python examples/p2p_file_transfer.py
 """
 
@@ -48,8 +52,8 @@ def main() -> None:
     print(f"downloader: peer {downloader} (uptime {uptime[downloader]:.2f})\n")
 
     # 1. The most reliably reachable peers (candidate seeds) — the
-    # top-k endpoint of the service facade (BFS Sharing's original
-    # query), identical to `repro topk` / the library call.
+    # top-k endpoint of the service facade, identical to `repro topk` /
+    # the library call at the same seed.
     service = ReliabilityService(graph, seed=1)
     ranking = service.topk(
         TopKRequest(source=downloader, k=8, samples=800)
@@ -62,7 +66,7 @@ def main() -> None:
         )
 
     # 2. The safe swarm: everything above a 50% delivery threshold.
-    swarm = reliable_set(graph, downloader, threshold=0.5, samples=800, rng=2)
+    swarm = reliable_set(graph, downloader, threshold=0.5, samples=800, seed=2)
     print(f"\nsafe swarm (R >= 0.50): {len(swarm)} peers")
 
     # 3. Which relay's churn would hurt the best seed most?
@@ -70,7 +74,7 @@ def main() -> None:
     distances = graph.bfs_distances(downloader, max_hops=2)
     relays = [int(v) for v in np.nonzero(distances == 1)[0]]
     impact = failure_impact(
-        graph, downloader, best_seed, relays, samples=2_000, rng=3
+        graph, downloader, best_seed, relays, samples=2_000, seed=3
     )
     print(f"\nchurn impact on transfer {downloader} -> {best_seed}:")
     for peer, conditional, drop in impact[:5]:
@@ -79,8 +83,8 @@ def main() -> None:
             f"(drop {drop:+.3f})"
         )
     print(
-        "\nTop-k, threshold, and conditional queries all run on the same "
-        "estimator substrate (paper §2.3, §2.9)."
+        "\nTop-k, threshold, and conditional queries all read the same "
+        "engine world stream (paper §2.3, §2.9)."
     )
 
 

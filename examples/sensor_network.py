@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import UncertainGraph, create_estimator
 from repro.core.bounds import min_cut_upper_bound, most_reliable_path
-from repro.queries.distance_constrained import distance_profile
+from repro.queries import distance_profile
 
 
 def build_sensor_field(width: int, seed: int) -> UncertainGraph:
@@ -80,7 +80,7 @@ def main() -> None:
         base_station,
         max_distance=budget_cap,
         samples=1_500,
-        rng=3,
+        seed=3,
     )
     print("\nhop budget vs delivery probability:")
     minimum_hops = 2 * (width - 1)

@@ -32,12 +32,12 @@ actually run in parallel:
   each method's index is built exactly once, and the estimator map is
   published copy-on-write so readers never need the lock;
 * every engine a request touches — ``estimate_batch`` on an
-  engine-path method, ``warm``, the inner batches of ``prob_tree`` — is
-  a cheap per-run :class:`BatchEngine` from the one factory
-  (:meth:`ReliabilityService._engine`), which takes no service lock —
-  concurrent runs share only the internally thread-safe result cache;
-* ``topk`` and ``bounds`` build all their state per call, so they run
-  unlocked too;
+  engine-path method, ``warm``, ``topk``'s all-targets row, the inner
+  batches of ``prob_tree`` — is a cheap per-run :class:`BatchEngine`
+  from the one factory (:meth:`ReliabilityService._engine`), which
+  takes no service lock — concurrent runs share only the internally
+  thread-safe result cache;
+* ``bounds`` is pure per call, so it runs unlocked too;
 * calls into a *shared, stateful* estimator instance (``estimate``, and
   the non-engine batch paths) serialise on that method's own lock —
   different methods proceed in parallel, and index reuse stays safe;
@@ -551,12 +551,13 @@ class ReliabilityService:
         service's), its range evaluator, kernels, chunk size and worker
         count — a request's own value where it carries one, else the
         service default.  ``graph`` is the caller's snapshot: the live
-        graph for ``/v1/batch`` and ``warm`` (read **once** per request,
-        so a concurrent :meth:`update` cannot split a run across two
-        versions), a lifted query graph for ``prob_tree``'s inner
-        batches — estimator fast paths receive this method as their
-        ``engine=`` factory.  Cache keys and process pools are both keyed
-        by the graph's own fingerprint, so any graph may come through.
+        graph for ``/v1/batch``, ``warm`` and ``topk`` (read **once**
+        per request, so a concurrent :meth:`update` cannot split a run
+        across two versions), a lifted query graph for ``prob_tree``'s
+        inner batches — estimator fast paths and the top-k row receive
+        this method as their ``engine=`` factory.  Cache keys and
+        process pools are both keyed by the graph's own fingerprint, so
+        any graph may come through.
 
         Engines are cheap (the fingerprint is memoised); the expensive
         state — sampled results and forked workers — lives in the shared
@@ -1175,7 +1176,15 @@ class ReliabilityService:
     # ------------------------------------------------------------------
 
     def topk(self, request: TopKRequest) -> TopKResponse:
-        """Top-k most reliable targets from one source (paper §2.3)."""
+        """Top-k most reliable targets from one source (paper §2.3).
+
+        The source's all-targets row of the engine's world stream at the
+        request's seed, ranked: every reliability equals the
+        ``/v1/batch`` estimate of ``(source, node, samples)`` at that
+        seed, bit for bit.  ``mc`` and ``bfs_sharing`` name that same
+        sweep, exactly as they do on ``/v1/batch``; the method is
+        validated and echoed.
+        """
         if request.method not in ("bfs_sharing", "mc"):
             raise UnknownEstimatorError(
                 f"unknown top-k method {request.method!r}; "
@@ -1185,15 +1194,15 @@ class ReliabilityService:
         self._check_positive(request.k, "k")
         self._check_positive(request.samples, "samples")
         seed = self._resolve_seed(request.seed)
-        # Builds all of its state per call (its own estimator, its own
-        # RNG), so it shares nothing and needs no lock.
+        # A per-request engine sweeping inline (run_range): nothing
+        # shared is written, so no lock.
         ranking = top_k_reliable_targets(
             self.graph,
             request.source,
             request.k,
             samples=request.samples,
-            method=request.method,
-            rng=seed,
+            seed=seed,
+            engine=self._engine,
         )
         self._count("topk")
         return TopKResponse(
@@ -1229,6 +1238,8 @@ class ReliabilityService:
         loading any dataset — and without the measured evidence the
         instance-level :meth:`recommend` layers on top.
         """
+        cls._check_positive(request.samples, "samples")
+        cls._check_positive(request.max_hops, "max_hops")
         recommendation = recommend_estimator(
             memory_limited=request.memory_limited,
             want_lowest_variance=request.lowest_variance,
@@ -1253,6 +1264,8 @@ class ReliabilityService:
         evidence behind it.  The static ranking follows the router's
         pick as backups, demoted for any index a live update dropped.
         """
+        self._check_positive(request.samples, "samples")
+        self._check_positive(request.max_hops, "max_hops")
         fingerprint = graph_fingerprint(self.graph)
         decision = self._route(
             fingerprint=fingerprint,

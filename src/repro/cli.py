@@ -52,6 +52,7 @@ from repro.api.service import (
     FAST_BATCH_PATHS,
     KERNEL_MODES,
 )
+from repro.api.types import ENDPOINT_TABLE
 from repro.core.registry import PAPER_ESTIMATORS, VARIANCE_SAMPLERS
 from repro.datasets.suite import DATASET_KEYS, SCALES, dataset_table
 from repro.experiments.convergence import ConvergenceCriterion
@@ -556,13 +557,12 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"shards ({len(shard_urls)}): {', '.join(shard_urls)}",
                 flush=True,
             )
-        print(
-            "endpoints: POST /v1/estimate, POST /v1/batch, POST /v1/warm, "
-            "POST /v1/update, POST /v1/topk, POST /v1/bounds, "
-            "POST /v1/shard/run, GET|POST /v1/recommend, "
-            "GET /v1/health, GET /v1/stats  (Ctrl-C to stop)",
-            flush=True,
+        routes = ", ".join(
+            f"{'|'.join(endpoint.verbs)} {endpoint.path}"
+            for endpoint in ENDPOINT_TABLE
+            if endpoint.verbs
         )
+        print(f"endpoints: {routes}  (Ctrl-C to stop)", flush=True)
 
     serve(
         service,
@@ -637,22 +637,20 @@ def _command_bounds(args: argparse.Namespace) -> int:
 
 
 def _command_recommend(args: argparse.Namespace) -> int:
-    if args.max_hops is not None and args.max_hops <= 0:
-        raise SystemExit(
-            f"repro recommend: --max-hops must be a positive integer, "
-            f"got {args.max_hops}"
-        )
     # The static (graph-free) walk: no dataset is loaded, so there is no
     # telemetry to consult — a served instance's GET /v1/recommend is
     # the measured counterpart.
-    response = ReliabilityService.recommend_static(
-        RecommendRequest(
-            memory_limited=args.memory_limited,
-            lowest_variance=args.lowest_variance,
-            latency_tolerant=args.latency_tolerant,
-            max_hops=args.max_hops,
+    try:
+        response = ReliabilityService.recommend_static(
+            RecommendRequest(
+                memory_limited=args.memory_limited,
+                lowest_variance=args.lowest_variance,
+                latency_tolerant=args.latency_tolerant,
+                max_hops=args.max_hops,
+            )
         )
-    )
+    except ReliabilityError as error:
+        raise SystemExit(f"repro recommend: {error}") from None
     print(" -> ".join(response.path))
     print("recommended: " + ", ".join(response.display_names))
     return 0

@@ -28,7 +28,7 @@ gives LP).
   faster in Python.  (In the C++ substrate of the paper the heap's
   probe-skipping is the whole speedup; in a NumPy substrate, scanning a
   frontier's edge block is a single vector op, so LP+'s advantage over MC is
-  structurally smaller here — see EXPERIMENTS.md.)
+  structurally smaller here — see docs/estimators.md.)
 
 Heap-engine details that keep the schedule exact: on early termination,
 still-due entries are drained and rescheduled before the counter advances

@@ -8,10 +8,11 @@ are provided: ``tiny`` (unit tests), ``small`` (benchmark default) and
 probability summaries are kept alongside so the Table 2 benchmark can print
 "paper vs ours" rows.
 
-Substitution note (see DESIGN.md §3): the real downloads are unavailable
-offline and pure-Python sampling at millions of edges is impractical; all
-comparative findings the paper draws depend on degree structure,
-probability distribution and s-t distance, which these analogues preserve.
+Substitution note (see README.md, "Provenance"): the real downloads are
+unavailable offline and pure-Python sampling at millions of edges is
+impractical; all comparative findings the paper draws depend on degree
+structure, probability distribution and s-t distance, which these
+analogues preserve.
 """
 
 from __future__ import annotations

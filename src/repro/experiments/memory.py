@@ -9,7 +9,7 @@ Two complementary measurements:
   stack, node/edge vectors); cheap enough to sample at every grid point.
 
 The paper reports process-level usage of a C++ binary; our two views bracket
-the same quantities (see DESIGN.md substitution table).
+the same quantities.
 """
 
 from __future__ import annotations

@@ -2,11 +2,16 @@
 
 ``R(s, t | E+, E-, V-)``: the s-t reliability *given* that the edges in
 ``E+`` are known to be up, the edges in ``E-`` known to be down, and the
-nodes in ``V-`` failed (all their incident edges down).  The paper lists
-conditional reliability among the advanced queries its estimators can
-serve; here it drops straight out of the conditioned lazy-BFS kernel the
-recursive estimators already use (possible-world sampling under a forced
-edge-state vector).
+nodes in ``V-`` failed (all their incident edges down).  Edges are
+independent, so conditioning on an edge's state just fixes it: the
+conditional reliability on ``G`` is the ordinary reliability on the
+**conditioned graph** — ``E+`` at probability 1, ``E-`` and everything
+incident to ``V-`` removed.  :func:`condition_graph` builds that graph
+with :func:`~repro.core.mutation.apply_update`, and anything that answers
+reliability answers the conditional query on it: the batch engine (as
+:func:`conditional_reliability` does), any estimator,
+:func:`~repro.core.exact.reliability_exact`,
+:func:`~repro.core.bounds.reliability_bounds`.
 
 Typical uses: "what is the delivery probability if this router is down?"
 or "we just observed this link alive — how does the picture change?".
@@ -14,65 +19,59 @@ or "we just observed this link alive — how does the picture change?".
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.graph import UncertainGraph
-from repro.core.possible_world import (
-    EDGE_ABSENT,
-    EDGE_PRESENT,
-    ReachabilitySampler,
-)
-from repro.util.rng import SeedLike, ensure_generator
-from repro.util.validation import check_node, check_positive
-
-EdgePair = Tuple[int, int]
+from repro.core.mutation import EdgePair, apply_update
+from repro.engine.batch import BatchEngine
+from repro.util.validation import check_node
 
 
-def _resolve_edge(graph: UncertainGraph, pair: EdgePair) -> int:
-    """CSR edge id of ``(u, v)``; raises if the edge does not exist."""
-    u, v = pair
-    check_node(u, graph.node_count, "edge source")
-    check_node(v, graph.node_count, "edge target")
-    start, stop = graph.indptr[u], graph.indptr[u + 1]
-    position = int(np.searchsorted(graph.targets[start:stop], v))
-    if position < stop - start and graph.targets[start + position] == v:
-        return int(start + position)
-    raise ValueError(f"edge {pair!r} not present in the graph")
-
-
-def build_condition(
+def condition_graph(
     graph: UncertainGraph,
-    present_edges: Sequence[EdgePair] = (),
-    absent_edges: Sequence[EdgePair] = (),
+    present_edges: Iterable[EdgePair] = (),
+    absent_edges: Iterable[EdgePair] = (),
     failed_nodes: Iterable[int] = (),
-) -> np.ndarray:
-    """Forced edge-state vector encoding the conditioning event.
+) -> UncertainGraph:
+    """``graph`` under the conditioning event (the input graph if empty).
 
-    ``present_edges`` are pinned up, ``absent_edges`` pinned down, and
-    every edge incident (in or out) to a ``failed_nodes`` member pinned
-    down.  Conflicts (an edge both up and down) are rejected.
+    ``present_edges`` become certain, ``absent_edges`` and every edge
+    incident (in or out) to a ``failed_nodes`` member are removed.  Every
+    named edge must exist — conditioning observes edges, it cannot add
+    them — and conflicts (an edge both up and down) are rejected.
     """
-    forced = np.zeros(graph.edge_count, dtype=np.int8)
-    for pair in absent_edges:
-        forced[_resolve_edge(graph, pair)] = EDGE_ABSENT
-    failed = {check_node(n, graph.node_count, "failed node") for n in failed_nodes}
+
+    def existing(pair: EdgePair) -> EdgePair:
+        source = check_node(int(pair[0]), graph.node_count, "edge source")
+        target = check_node(int(pair[1]), graph.node_count, "edge target")
+        if graph.edge_probability(source, target) is None:
+            raise ValueError(f"edge {pair!r} not present in the graph")
+        return source, target
+
+    present = {existing(pair) for pair in present_edges}
+    absent = {existing(pair) for pair in absent_edges}
+    failed = {
+        check_node(int(node), graph.node_count, "failed node")
+        for node in failed_nodes
+    }
     if failed:
-        for edge_id in range(graph.edge_count):
-            if (
-                graph.edge_source(edge_id) in failed
-                or int(graph.targets[edge_id]) in failed
-            ):
-                forced[edge_id] = EDGE_ABSENT
-    for pair in present_edges:
-        edge_id = _resolve_edge(graph, pair)
-        if forced[edge_id] == EDGE_ABSENT:
-            raise ValueError(
-                f"edge {pair!r} conditioned both present and absent"
-            )
-        forced[edge_id] = EDGE_PRESENT
-    return forced
+        absent.update(
+            (source, target)
+            for source, target, _ in graph.iter_edges()
+            if source in failed or target in failed
+        )
+    conflicts = sorted(present & absent)
+    if conflicts:
+        raise ValueError(
+            f"edge {conflicts[0]!r} conditioned both present and absent"
+        )
+    if not present and not absent:
+        return graph
+    return apply_update(
+        graph,
+        set_edges=[(source, target, 1.0) for source, target in sorted(present)],
+        remove_edges=sorted(absent),
+    ).graph
 
 
 def conditional_reliability(
@@ -80,28 +79,24 @@ def conditional_reliability(
     source: int,
     target: int,
     *,
-    present_edges: Sequence[EdgePair] = (),
-    absent_edges: Sequence[EdgePair] = (),
+    present_edges: Iterable[EdgePair] = (),
+    absent_edges: Iterable[EdgePair] = (),
     failed_nodes: Iterable[int] = (),
     samples: int = 1_000,
-    rng: SeedLike = None,
+    seed: Optional[int] = 0,
 ) -> float:
-    """MC estimate of ``R(source, target)`` under the conditioning event.
+    """Engine estimate of ``R(source, target)`` under the conditioning event.
 
-    Unbiased for the conditional reliability: conditioning on independent
-    edges simply fixes their state, so hit-and-miss sampling of the free
-    edges estimates the conditional probability directly.
+    Worlds ``[0, samples)`` of the conditioned graph's stream at ``seed``
+    — the number ``/v1/batch`` would answer on that graph.
     """
-    check_node(source, graph.node_count, "source")
-    check_node(target, graph.node_count, "target")
-    check_positive(samples, "samples")
-    forced = build_condition(graph, present_edges, absent_edges, failed_nodes)
-    if source == target:
-        return 1.0
-    sampler = ReachabilitySampler(graph)
-    return sampler.estimate(
-        source, target, samples, ensure_generator(rng), forced
+    conditioned = condition_graph(
+        graph, present_edges, absent_edges, failed_nodes
     )
+    result = BatchEngine(conditioned, seed=seed).run(
+        [(source, target, samples)]
+    )
+    return float(result.estimates[0])
 
 
 def failure_impact(
@@ -110,16 +105,15 @@ def failure_impact(
     target: int,
     candidate_nodes: Sequence[int],
     samples: int = 1_000,
-    rng: SeedLike = None,
-) -> list:
+    seed: Optional[int] = 0,
+) -> List[Tuple[int, float, float]]:
     """Reliability drop caused by each candidate node's failure.
 
     Returns ``[(node, conditional_reliability, drop)]`` sorted by largest
     drop — a simple criticality ranking for network-maintenance scenarios.
     """
-    generator = ensure_generator(rng)
     baseline = conditional_reliability(
-        graph, source, target, samples=samples, rng=generator
+        graph, source, target, samples=samples, seed=seed
     )
     ranking = []
     for node in candidate_nodes:
@@ -127,11 +121,11 @@ def failure_impact(
             continue
         value = conditional_reliability(
             graph, source, target,
-            failed_nodes=[node], samples=samples, rng=generator,
+            failed_nodes=[node], samples=samples, seed=seed,
         )
-        ranking.append((int(node), float(value), float(baseline - value)))
+        ranking.append((int(node), value, baseline - value))
     ranking.sort(key=lambda item: (-item[2], item[0]))
     return ranking
 
 
-__all__ = ["build_condition", "conditional_reliability", "failure_impact"]
+__all__ = ["condition_graph", "conditional_reliability", "failure_impact"]

@@ -7,6 +7,8 @@ exists for — shared caches, shared estimator indexes, and thread-safe
 bit-identical answers.
 """
 
+import contextlib
+import itertools
 import threading
 
 import numpy as np
@@ -281,10 +283,55 @@ class TestWarm:
 class TestOtherEndpoints:
     def test_topk_matches_direct_call(self, service):
         expected = top_k_reliable_targets(
-            service.graph, 0, 3, samples=200, method="bfs_sharing", rng=3
+            service.graph, 0, 3, samples=200, seed=3
         )
         response = service.topk(TopKRequest(source=0, k=3, samples=200))
         assert list(response.ranking) == expected
+
+    def test_topk_is_on_the_bit_identity_contract(self, service):
+        """Top-k at seed x == `/v1/batch` `mc` at seed x, bit for bit."""
+        nodes = range(service.graph.node_count)
+        with contextlib.ExitStack() as stack:
+            reconfigured = [
+                stack.enter_context(
+                    ReliabilityService.from_dataset(
+                        "lastfm", "tiny", seed=3, **options
+                    )
+                )
+                for options in ({"chunk_size": 64}, {"kernels": "vectorized"})
+            ]
+            for seed, source in itertools.product((4, 21), (0, 7)):
+                request = TopKRequest(
+                    source=source, k=len(nodes), samples=200, seed=seed,
+                    method="mc",
+                )
+                ranking = service.topk(request).ranking
+                batch = service.estimate_batch(
+                    BatchRequest(
+                        queries=tuple(
+                            QuerySpec(source, node, 200) for node in nodes
+                        ),
+                        method="mc",
+                        seed=seed,
+                    )
+                )
+                assert dict(ranking) == {
+                    row.target: row.estimate
+                    for row in batch.results
+                    if row.target != source
+                }
+                for other in reconfigured:
+                    assert other.topk(request).ranking == ranking
+
+    def test_topk_methods_name_the_same_sweep(self, service):
+        rankings = [
+            service.topk(
+                TopKRequest(source=0, k=5, samples=150, method=method)
+            )
+            for method in ("mc", "bfs_sharing")
+        ]
+        assert rankings[0].ranking == rankings[1].ranking
+        assert [r.method for r in rankings] == ["mc", "bfs_sharing"]
 
     def test_topk_unknown_method_rejected(self, service):
         with pytest.raises(UnknownEstimatorError, match="top-k"):
@@ -304,6 +351,17 @@ class TestOtherEndpoints:
         )
         assert response.estimators == tuple(expected.estimators)
         assert "ProbTree" in response.display_names
+
+    @pytest.mark.parametrize(
+        "shape", [{"max_hops": -1}, {"max_hops": 0}, {"samples": -5}]
+    )
+    def test_recommend_rejects_a_non_positive_query_shape(self, service, shape):
+        (field,) = shape
+        request = RecommendRequest(**shape)
+        with pytest.raises(InvalidQueryError, match=f"{field} must be"):
+            service.recommend(request)
+        with pytest.raises(InvalidQueryError, match=f"{field} must be"):
+            ReliabilityService.recommend_static(request)
 
     def test_instance_recommend_reports_decision_and_telemetry(self, service):
         response = service.recommend(RecommendRequest(samples=200))
@@ -641,6 +699,42 @@ class TestAutoRouting:
         )
         assert response.routing["reason"] == "measured"
         assert response.method == "mc"
+
+    def test_auto_trajectory_replays_by_name_on_a_fresh_service(self, service):
+        """Cold start, measured and exploration decisions alike: every
+        auto answer is what naming the routed method returns on a fresh
+        identical service (no update lands, so indexes match)."""
+        pairs = [(0, 5), (3, 9), (1, 8), (2, 7)]
+        routed = [
+            service.estimate(
+                EstimateRequest(
+                    source=source, target=target, samples=120, method="auto"
+                )
+            )
+            for _ in range(8)
+            for source, target in pairs
+        ]
+        reasons = [response.routing["reason"] for response in routed]
+        assert reasons.count("measured") > 0
+        # One warm decision in ten explores; cold-start ones never do.
+        assert reasons.count("exploration") <= len(routed) // 10 + 1
+        assert {response.method for response in routed} <= set(
+            service.router.candidates
+        )
+        with ReliabilityService.from_dataset(
+            "lastfm", "tiny", seed=3
+        ) as fresh:
+            for response in routed:
+                named = fresh.estimate(
+                    EstimateRequest(
+                        source=response.source,
+                        target=response.target,
+                        samples=response.samples,
+                        method=response.method,
+                    )
+                )
+                assert named.estimate == response.estimate, response.method
+                assert named.routing is None
 
     def test_hop_bounded_auto_batch_routes_hop_capable(self, service):
         response = service.estimate_batch(

@@ -5,7 +5,9 @@ server against a fresh ``lastfm``/``tiny`` service (seed 3) and each
 reply is compared with ``golden_wire.json`` — recorded at the commit
 *before* the wire types became one generic parser/serialiser — as
 ``json.dumps`` text, so key order and float spelling are part of the
-check.  Only wall-clock ``seconds`` values are normalised.
+check.  Only wall-clock ``seconds`` values are normalised.  (The ``topk``
+document alone was re-recorded since: its reliabilities moved, not its
+shape, when top-k became a row of the engine's world stream.)
 
 The cases run in file order against one service: both recommends and the
 ``method="auto"`` batch come first (the router is still cold, so its

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ReliabilityService
+from repro.api.types import ENDPOINT_TABLE
 from repro.cli import main
 from repro.serve import create_server
 
@@ -205,6 +206,13 @@ class TestMalformedRequests:
         assert status == 400
         assert "'source' and 'target'" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("query", ["max_hops=-1", "samples=-5"])
+    def test_recommend_non_positive_shape_is_structured_400(self, server, query):
+        status, payload = get(server, f"/v1/recommend?{query}")
+        assert status == 400
+        assert payload["error"]["type"] == "InvalidQueryError"
+        assert query.partition("=")[0] in payload["error"]["message"]
+
 
 class TestConcurrentClients:
     def test_concurrent_batches_bit_identical_to_the_cli(
@@ -270,13 +278,23 @@ class TestServeCommand:
             banner = process.stdout.readline()
             match = re.search(r"http://\S+", banner)
             assert match, f"no URL in serve banner: {banner!r}"
-            yield match.group(0), environment, tmp_path
+            endpoints = process.stdout.readline()
+            yield match.group(0), environment, tmp_path, endpoints
         finally:
             process.terminate()
             process.wait(timeout=30)
 
+    def test_banner_lists_exactly_the_served_rows(self, served):
+        *_, endpoints = served
+        announced = re.findall(r"([A-Z|]+) (/v1/\S+?),?\s", endpoints)
+        assert announced == [
+            ("|".join(endpoint.verbs), endpoint.path)
+            for endpoint in ENDPOINT_TABLE
+            if endpoint.verbs
+        ]
+
     def test_serve_matches_repro_batch_and_caches(self, served):
-        url, environment, tmp_path = served
+        url, environment, tmp_path, _ = served
         queries = tmp_path / "queries.txt"
         queries.write_text("0 5 200\n3 9 150\n", encoding="utf-8")
         completed = subprocess.run(

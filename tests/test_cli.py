@@ -118,6 +118,13 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert "RSS" in out
 
+    def test_non_positive_max_hops_is_the_services_message(self):
+        with pytest.raises(
+            SystemExit,
+            match="repro recommend: max_hops must be a positive integer",
+        ):
+            main(["recommend", "--max-hops", "0"])
+
 
 class TestStudy:
     def test_mini_study(self, capsys):
