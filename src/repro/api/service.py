@@ -206,13 +206,11 @@ class ReliabilityService:
         self.seed = int(seed)
         self.dataset = dataset  # a suite Dataset, or None for raw graphs
         self.cache_dir = None if cache_dir is None else str(cache_dir)
+        self._check_positive(chunk_size, "chunk_size")
+        self._check_positive(workers, "workers")
         self.chunk_size = (
             DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
         )
-        if self.chunk_size <= 0:
-            raise InvalidQueryError(
-                f"chunk_size must be a positive integer, got {chunk_size}"
-            )
         self.workers = workers
         if kernels is not None and kernels not in KERNEL_MODES:
             raise InvalidQueryError(

@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernels", choices=KERNEL_MODES, default=None,
         help="engine sweep implementation: 'python' (reference loops) or "
              "'vectorized' (packed uint64 numpy kernels); bit-identical "
-             "results (default: $REPRO_ENGINE_KERNELS or python)",
+             "results (default: $REPRO_ENGINE_KERNELS or vectorized)",
     )
     batch.add_argument(
         "--cache-dir", default=None,
@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--kernels", choices=KERNEL_MODES, default=None,
         help="default engine sweep implementation for served workloads "
-             "(default: $REPRO_ENGINE_KERNELS or python)",
+             "(default: $REPRO_ENGINE_KERNELS or vectorized)",
     )
     serve_cmd.add_argument(
         "--rewarm-top", type=int, default=DEFAULT_REWARM_TOP,
@@ -496,16 +496,6 @@ def _command_warm(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers <= 0:
-        raise SystemExit(
-            f"repro serve: --workers must be a positive integer, "
-            f"got {args.workers}"
-        )
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        raise SystemExit(
-            f"repro serve: --chunk-size must be a positive integer, "
-            f"got {args.chunk_size}"
-        )
     if args.rewarm_top < 0:
         raise SystemExit(
             f"repro serve: --rewarm-top must be zero (disabled) or "

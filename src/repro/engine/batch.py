@@ -239,9 +239,10 @@ class BatchEngine:
         per-range hit counts are summed in the parent — bit-identical to
         the inline sweep by the determinism contract.
     kernels:
-        ``"python"`` (the historical per-node loops) or ``"vectorized"``
-        (the frontier-bulk kernels of :mod:`repro.engine.kernels`).
-        ``None`` reads ``REPRO_ENGINE_KERNELS`` (default ``"python"``).
+        ``"vectorized"`` (the frontier-bulk kernels of
+        :mod:`repro.engine.kernels`) or ``"python"`` (the historical
+        per-node loops, kept as the reference kernel).  ``None`` reads
+        ``REPRO_ENGINE_KERNELS`` (default ``"vectorized"``).
         Both kernel sets compute the identical fixpoint, so estimates
         are bit-identical either way (the kernel conformance suite pins
         this); the knob is purely a constant-factor lever.

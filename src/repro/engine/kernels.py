@@ -31,8 +31,9 @@ property of the schedule, not of the answer.
 Selection: ``BatchEngine(kernels="vectorized")`` routes the chunk sweep
 through this module; ``kernels=None`` consults the
 ``REPRO_ENGINE_KERNELS`` environment variable and falls back to
-``"python"`` (the historical per-node kernels).  Range evaluators —
-the workers of :mod:`repro.engine.pool` and the shards of
+``"vectorized"``.  ``kernels="python"`` selects the historical per-node
+kernels, the reference the conformance suite compares against.  Range
+evaluators — the workers of :mod:`repro.engine.pool` and the shards of
 :mod:`repro.distributed` — are sent the dispatching engine's choice
 with every range.
 """
@@ -52,14 +53,14 @@ KERNEL_MODES = ("python", "vectorized")
 
 #: Environment variable supplying the default kernel mode; lets CI (and
 #: operators) route an unmodified test suite or workload through the
-#: vectorized sweeps, mirroring ``REPRO_ENGINE_WORKERS``.
+#: reference Python sweeps, mirroring ``REPRO_ENGINE_WORKERS``.
 KERNELS_ENV_VAR = "REPRO_ENGINE_KERNELS"
 
 
 def resolve_kernels(kernels: Optional[str]) -> str:
-    """Resolve a ``kernels`` knob: explicit value, else env var, else python."""
+    """Resolve a ``kernels`` knob: explicit, else env var, else vectorized."""
     if kernels is None:
-        kernels = os.environ.get(KERNELS_ENV_VAR, "").strip() or "python"
+        kernels = os.environ.get(KERNELS_ENV_VAR, "").strip() or "vectorized"
     if kernels not in KERNEL_MODES:
         raise ValueError(
             f"unknown kernel mode {kernels!r}; known: {', '.join(KERNEL_MODES)}"

@@ -65,16 +65,26 @@ def full_row(bit_count: int) -> np.ndarray:
     return row
 
 
-def _pack_word(draws: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, bits <= 64)`` boolean block into one word per row.
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a ``(rows, bit_count)`` boolean block into ``(rows, words)``.
 
-    Bit ``k`` of the result's row ``i`` is ``draws[i, k]`` — the packing
-    step shared by :func:`sample_bit_matrix` and :func:`pack_bool_matrix`:
-    a sum of ``2^k`` over set bit positions.
+    Bit ``k`` of packed row ``i`` is ``bits[i, k]`` — the one packing
+    step behind :func:`sample_bit_matrix` and :func:`pack_bool_matrix`.
+    The block is zero-padded to whole words, ``np.packbits`` lays bit
+    ``k`` at byte ``k // 8``, bit ``k % 8`` (little bit order), and each
+    run of 8 bytes read as a little-endian uint64 is one word.  A
+    non-C-contiguous block (a transposed view) is copied as well:
+    ``np.packbits`` keeps its input's memory order, and the word view
+    needs contiguous rows.
     """
-    shifts = np.arange(draws.shape[1], dtype=np.uint64)
-    weights = (np.uint64(1) << shifts).astype(np.uint64)
-    return (draws.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    rows, bit_count = bits.shape
+    width = packed_words(bit_count) * WORD_BITS
+    if bit_count != width or not bits.flags.c_contiguous:
+        padded = np.zeros((rows, width), dtype=bool)
+        padded[:, :bit_count] = bits
+        bits = padded
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(_WORD_DTYPE, copy=False)
 
 
 def sample_bit_matrix(
@@ -94,7 +104,7 @@ def sample_bit_matrix(
     for word_index in range(words):
         bits_here = min(WORD_BITS, bit_count - word_index * WORD_BITS)
         draws = rng.random((rows, bits_here)) < probabilities[:, None]
-        matrix[:, word_index] = _pack_word(draws)
+        matrix[:, word_index] = _pack_rows(draws)[:, 0]
     return matrix
 
 
@@ -109,13 +119,7 @@ def pack_bool_matrix(masks: np.ndarray) -> np.ndarray:
     """
     if masks.ndim != 2:
         raise ValueError(f"expected 2-D boolean matrix, got shape {masks.shape}")
-    bit_count, rows = masks.shape
-    words = packed_words(bit_count)
-    matrix = np.zeros((rows, words), dtype=_WORD_DTYPE)
-    for word_index in range(words):
-        block = masks[word_index * WORD_BITS : (word_index + 1) * WORD_BITS]
-        matrix[:, word_index] = _pack_word(block.T)
-    return matrix
+    return _pack_rows(masks.T)
 
 
 def prefix_mask(bit_count: int, words: int) -> np.ndarray:

@@ -53,11 +53,16 @@ def stable_substream(seed: SeedLike, *keys: int) -> np.random.Generator:
     ``stable_substream(seed, pair_index, repeat_index)`` always yields the
     same stream for the same arguments, independent of call order.
     """
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
-        seed if isinstance(seed, int) else None
-    )
+    if isinstance(seed, int):
+        # Equal to ``SeedSequence(seed).entropy``; once per world, so
+        # no throwaway sequence is built.
+        entropy = seed
+    elif isinstance(seed, np.random.SeedSequence):
+        entropy = seed.entropy
+    else:
+        entropy = np.random.SeedSequence(None).entropy
     keyed = np.random.SeedSequence(
-        entropy=base.entropy, spawn_key=tuple(int(k) for k in keys)
+        entropy=entropy, spawn_key=tuple(int(k) for k in keys)
     )
     return np.random.default_rng(keyed)
 

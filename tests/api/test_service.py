@@ -71,6 +71,20 @@ class TestConstruction:
         with pytest.raises(GraphLoadError, match="UncertainGraph"):
             ReliabilityService("not a graph")
 
+    @pytest.mark.parametrize("field", ["workers", "chunk_size"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_engine_default_rejected(
+        self, diamond_graph, field, value
+    ):
+        # Structured at construction, not a 500 on every engine request.
+        with pytest.raises(
+            InvalidQueryError,
+            match=f"{field} must be a positive integer, got {value}",
+        ):
+            ReliabilityService(diamond_graph, **{field: value})
+        with pytest.raises(InvalidQueryError, match=f"{field} must be"):
+            ReliabilityService.from_dataset("lastfm", "tiny", **{field: value})
+
     def test_context_manager_closes(self, diamond_graph):
         with ReliabilityService(diamond_graph) as service:
             assert service.health()["status"] == "ok"

@@ -54,12 +54,12 @@ class TestResolveKernels:
         assert resolve_kernels("vectorized") == "vectorized"
 
     def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        assert resolve_kernels(None) == "vectorized"
-
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
+        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
         assert resolve_kernels(None) == "python"
+
+    def test_default_is_vectorized(self, monkeypatch):
+        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
+        assert resolve_kernels(None) == "vectorized"
 
     @pytest.mark.parametrize("bogus", ["simd", "PYTHON", ""])
     def test_unknown_mode_rejected(self, bogus):
@@ -162,10 +162,9 @@ class TestEngineKernelConformance:
         np.testing.assert_array_equal(serial.estimates, parallel.estimates)
 
     def test_env_var_routes_engine(self, graph, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "vectorized")
-        engine = BatchEngine(graph, seed=5)
-        assert engine.kernels == "vectorized"
-        monkeypatch.delenv(KERNELS_ENV_VAR)
+        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
+        assert BatchEngine(graph, seed=5).kernels == "vectorized"
+        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
         assert BatchEngine(graph, seed=5).kernels == "python"
 
     def test_unknown_mode_rejected_at_construction(self, graph):

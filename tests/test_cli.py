@@ -126,6 +126,22 @@ class TestRecommend:
             main(["recommend", "--max-hops", "0"])
 
 
+class TestServe:
+    @pytest.mark.parametrize(
+        "flag,field", [("--workers", "workers"), ("--chunk-size", "chunk_size")]
+    )
+    def test_non_positive_engine_default_is_the_services_message(
+        self, flag, field
+    ):
+        # Rejected while the service is built, before anything binds.
+        with pytest.raises(SystemExit) as failure:
+            main(["serve", "--dataset", "lastfm", "--scale", "tiny",
+                  "--port", "0", flag, "0"])
+        assert failure.value.code == (
+            f"repro serve: {field} must be a positive integer, got 0"
+        )
+
+
 class TestStudy:
     def test_mini_study(self, capsys):
         code = main(

@@ -1,10 +1,14 @@
 """Tests for packed-bitset kernels (BFS Sharing substrate)."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.suite import load_dataset
+from repro.engine.batch import BatchEngine
 from repro.util import bitset
 
 
@@ -142,6 +146,93 @@ class TestPackBoolMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             bitset.pack_bool_matrix(np.zeros(4, dtype=bool))
+
+
+#: Shapes the packers must get right: no rows, bit counts off the byte
+#: and word grid, and (step > 1) non-contiguous sliced inputs.
+PACKER_CASES = dict(
+    rows=st.integers(0, 9),
+    bit_count=st.integers(0, 200),
+    step=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+
+
+def assert_bits(packed, rows, bit_count, expected):
+    """Every bit of ``packed`` — tail padding included — vs ``expected``."""
+    assert packed.dtype == np.uint64
+    assert packed.shape == (rows, bitset.packed_words(bit_count))
+    for row in range(rows):
+        for bit in range(packed.shape[1] * bitset.WORD_BITS):
+            want = bit < bit_count and bool(expected(row, bit))
+            assert bitset.get_bit(packed[row], bit) == want, (row, bit)
+
+
+class TestPackersAgainstGetBit:
+    @given(**PACKER_CASES)
+    @example(rows=0, bit_count=70, step=1, seed=0)
+    @example(rows=3, bit_count=13, step=2, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_pack_bool_matrix(self, rows, bit_count, step, seed):
+        base = np.random.default_rng(seed).random(
+            (bit_count * step, rows * step)
+        ) < 0.5
+        masks = base[::step, ::step]
+        packed = bitset.pack_bool_matrix(masks)
+        assert_bits(packed, rows, bit_count, lambda row, bit: masks[bit, row])
+
+    @given(**PACKER_CASES)
+    @example(rows=0, bit_count=70, step=1, seed=0)
+    @example(rows=3, bit_count=13, step=2, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_sample_bit_matrix(self, rows, bit_count, step, seed):
+        probs = np.random.default_rng(seed).random(rows * step)[::step]
+        packed = bitset.sample_bit_matrix(
+            probs, bit_count, np.random.default_rng(seed)
+        )
+        # Replay the documented stream: one (rows, bits) draw per word.
+        replay = np.random.default_rng(seed)
+        draws = np.zeros((rows, packed.shape[1] * bitset.WORD_BITS), bool)
+        for word in range(packed.shape[1]):
+            start = word * bitset.WORD_BITS
+            width = min(bitset.WORD_BITS, bit_count - start)
+            draws[:, start : start + width] = (
+                replay.random((rows, width)) < probs[:, None]
+            )
+        assert_bits(packed, rows, bit_count, lambda row, bit: draws[row, bit])
+
+
+def sha256_words(matrix):
+    return hashlib.sha256(
+        np.ascontiguousarray(matrix, dtype="<u8").tobytes()
+    ).hexdigest()
+
+
+class TestDigestPins:
+    """Packed bits of lastfm/small, pinned as recorded before the
+    ``np.packbits`` packer: any change to either packer, the index draw
+    order or the engine's world stream flips at least one bit."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_dataset("lastfm", "small", 0).graph
+
+    def test_sample_bit_matrix(self, graph):
+        matrix = bitset.sample_bit_matrix(
+            graph.probs, 1000, np.random.default_rng(42)
+        )
+        assert matrix.shape == (4794, 16)
+        assert sha256_words(matrix) == (
+            "7a5147a01105a02c15644ff30d59c6ab0447b36523be9e130eabca7e0c4d662c"
+        )
+
+    def test_pack_bool_matrix_of_engine_worlds(self, graph):
+        masks = BatchEngine(graph, seed=7).world_masks(0, 256)
+        matrix = bitset.pack_bool_matrix(masks)
+        assert matrix.shape == (4794, 4)
+        assert sha256_words(matrix) == (
+            "fe3b5015c0e351ae479b581d1cdfd54c51ddcdf1b9485a9d4a31ee313ef5e53b"
+        )
 
 
 class TestPrefixMask:
