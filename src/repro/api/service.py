@@ -57,7 +57,6 @@ conformance tests in ``tests/api`` pin the equivalence.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import threading
 import time
 from typing import Dict, List, Optional, Tuple, Type
@@ -98,14 +97,7 @@ from repro.core.mutation import apply_update
 from repro.core.recommend import recommend_estimator
 from repro.core.registry import create_estimator as _registry_create
 from repro.core.registry import display_name, estimator_class
-from repro.engine.batch import (
-    DEFAULT_CHUNK_SIZE,
-    KERNEL_MODES,
-    BatchEngine,
-    BatchResult,
-    resolve_kernels,
-    resolve_workers,
-)
+from repro.engine.batch import DEFAULT_CHUNK_SIZE, BatchEngine, BatchResult
 from repro.engine.cache import (
     DEFAULT_CACHE_CAPACITY,
     ResultCache,
@@ -117,8 +109,8 @@ from repro.queries.top_k import top_k_reliable_targets
 from repro.routing import AdaptiveRouter, QueryTelemetry, RoutingDecision
 from repro.util.rng import stable_substream
 
-#: Batch-path tags with an engine or grouped fast path (``workers`` is
-#: honoured there; the per-query loop builds no engine to hand it to).
+#: Batch-path tags with an engine or grouped fast path (the result cache
+#: serves them; the per-query loop builds no engine to hand it to).
 FAST_BATCH_PATHS = ("engine", "bag_grouped")
 
 #: The pseudo-method that routes through the adaptive router: a request
@@ -155,11 +147,10 @@ class ReliabilityService:
         directory (see :mod:`repro.engine.cache`); a re-started service
         warm-starts from disk.  ``None`` keeps an in-memory LRU only.
     chunk_size / workers:
-        Engine defaults for requests that do not override them.
-    kernels:
-        Default sweep kernels (``"python"`` or ``"vectorized"``, see
-        :mod:`repro.engine.kernels`) for served engine runs; a request
-        may override per call.  Bit-identical either way.
+        How every served engine sweeps: worlds per streaming step, and
+        worker processes for runs over the served graph (``None`` reads
+        ``REPRO_ENGINE_WORKERS``).  Service configuration only — no
+        request carries them, and neither can move a bit.
     evaluator:
         Where engine-backed ``/v1/batch`` runs sweep their pending
         worlds: any range evaluator (``BatchEngine(pool=...)``), e.g. a
@@ -193,7 +184,6 @@ class ReliabilityService:
         cache_dir: Optional[str] = None,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         evaluator=None,
     ) -> None:
@@ -212,12 +202,6 @@ class ReliabilityService:
             DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
         )
         self.workers = workers
-        if kernels is not None and kernels not in KERNEL_MODES:
-            raise InvalidQueryError(
-                f"unknown kernel mode {kernels!r}; "
-                f"known: {', '.join(KERNEL_MODES)}"
-            )
-        self.kernels = kernels
         self.evaluator = evaluator
         self._cache: ResultCache = (
             open_result_cache(self.cache_dir, capacity=cache_capacity)
@@ -534,43 +518,34 @@ class ReliabilityService:
         return dataclasses.replace(request, method=decision.method), decision
 
     def _engine(
-        self,
-        graph: UncertainGraph,
-        *,
-        seed: int,
-        chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        kernels: Optional[str] = None,
-        pool=None,
+        self, graph: UncertainGraph, *, seed: int, pool=None
     ) -> BatchEngine:
         """The engine factory: every engine a request touches is built here.
 
         The one place a served engine gets its result cache (always the
-        service's), its range evaluator, kernels, chunk size and worker
-        count — a request's own value where it carries one, else the
-        service default.  ``graph`` is the caller's snapshot: the live
-        graph for ``/v1/batch``, ``warm`` and ``topk`` (read **once**
-        per request, so a concurrent :meth:`update` cannot split a run
-        across two versions), a lifted query graph for ``prob_tree``'s
-        inner batches — estimator fast paths and the top-k row receive
-        this method as their ``engine=`` factory.  Cache keys and
-        process pools are both keyed by the graph's own fingerprint, so
-        any graph may come through.
+        service's), its range evaluator, chunk size and worker count —
+        all of it service configuration, none of it a request's.
+        ``graph`` is the caller's snapshot: the live graph for
+        ``/v1/batch``, ``warm`` and ``topk`` (read **once** per request,
+        so a concurrent :meth:`update` cannot split a run across two
+        versions), a lifted query graph for ``prob_tree``'s inner
+        batches — estimator fast paths and the top-k row receive this
+        method as their ``engine=`` factory.  Cache keys embed the
+        graph's own fingerprint, so any graph may come through.
 
-        Engines are cheap (the fingerprint is memoised); the expensive
-        state — sampled results and forked workers — lives in the shared
-        cache and the fingerprint-keyed pool registry.  ``pool`` names
-        the run's range evaluator outright (see ``evaluator``);
-        otherwise multi-worker engines borrow the registry's pool.
+        Only an engine over the graph this service currently serves may
+        fan out to the process pool.  Any other graph — a lifted query
+        graph, or a predecessor an update just retired — sweeps inline:
+        bit-identical, cheap for such small per-request graphs, and it
+        never forks a pool per graph that would evict the served one
+        from the fingerprint-keyed registry.  ``pool`` names the run's
+        range evaluator outright (see ``evaluator``).
         """
         return BatchEngine(
             graph,
             seed=seed,
-            chunk_size=self.chunk_size if chunk_size is None else chunk_size,
-            workers=resolve_workers(
-                self.workers if workers is None else workers
-            ),
-            kernels=self.kernels if kernels is None else kernels,
+            chunk_size=self.chunk_size,
+            workers=self.workers if graph is self.graph else 1,
             pool=pool,
             cache=self._cache,
         )
@@ -676,55 +651,22 @@ class ReliabilityService:
         treat it as engine-capable; ``estimate_batch`` checks again
         against the routed method.
         """
-        batch_path = (
-            None
-            if request.method == AUTO_METHOD
-            else cls.batch_path_of(request.method)
+        engine_backed = (
+            request.method == AUTO_METHOD
+            or cls.batch_path_of(request.method) == "engine"
         )
-        engine_backed = batch_path in (None, "engine")
-        has_fast_path = batch_path is None or batch_path in FAST_BATCH_PATHS
-        for name in ("workers", "chunk_size", "samples", "max_hops"):
+        for name in ("samples", "max_hops"):
             cls._check_positive(getattr(request, name), name)
         if request.sequential and request.method != "mc":
             raise InvalidQueryError(
                 "sequential evaluation is the per-query engine oracle; "
                 "it applies only to method 'mc'"
             )
-        if request.chunk_size is not None and not engine_backed:
-            raise InvalidQueryError(
-                "chunk_size applies only to the engine-backed methods "
-                "('mc', 'bfs_sharing'); other methods do not stream "
-                "world chunks"
-            )
-        if request.workers is not None and not has_fast_path:
-            raise InvalidQueryError(
-                "workers rides on a batch fast path (method 'mc', "
-                "'bfs_sharing', or 'prob_tree'); "
-                f"method {request.method!r} uses the per-query loop"
-            )
-        if request.kernels is not None:
-            if request.kernels not in KERNEL_MODES:
-                raise InvalidQueryError(
-                    f"unknown kernel mode {request.kernels!r}; "
-                    f"known: {', '.join(KERNEL_MODES)}"
-                )
-            if not engine_backed:
-                raise InvalidQueryError(
-                    "kernels selects the engine's sweep implementation; "
-                    "it applies only to the engine-backed methods "
-                    "('mc', 'bfs_sharing')"
-                )
         if request.sequential and persistent:
             raise InvalidQueryError(
                 "the sequential oracle bypasses the result cache by "
                 "design; this service persists results — submit the "
                 "shared-world sweep instead"
-            )
-        if request.sequential and (request.workers or 1) > 1:
-            raise InvalidQueryError(
-                "the sequential oracle re-materialises worlds per query "
-                "in-process; workers applies only to the shared-world "
-                "sweep"
             )
         if not engine_backed and (
             request.max_hops is not None
@@ -767,14 +709,7 @@ class ReliabilityService:
             self._record_queries(queries, seed)
             # The sequential oracle sweeps in this thread by definition.
             evaluator = None if request.sequential else self.evaluator
-            engine = self._engine(
-                graph,
-                seed=seed,
-                chunk_size=request.chunk_size,
-                workers=request.workers,
-                kernels=request.kernels,
-                pool=evaluator,
-            )
+            engine = self._engine(graph, seed=seed, pool=evaluator)
             if request.sequential:
                 result, mode = engine.run_sequential(queries), "sequential"
             else:
@@ -806,13 +741,9 @@ class ReliabilityService:
             with call_lock:
                 # Any engine the estimator builds on the way (ProbTree's
                 # inner batches over its lifted graphs) comes from the
-                # service's factory: same cache, same kernels.
+                # service's factory: same cache, same configuration.
                 estimates = estimator.estimate_batch(
-                    queries,
-                    seed=seed,
-                    engine=functools.partial(
-                        self._engine, workers=request.workers
-                    ),
+                    queries, seed=seed, engine=self._engine
                 )
                 # Instrumentation must be read before the lock drops, or
                 # a neighbouring request could overwrite it.
@@ -904,8 +835,6 @@ class ReliabilityService:
         the speculative-precomputation report of the ROADMAP's
         cache-warming item.
         """
-        self._check_positive(request.workers, "workers")
-        self._check_positive(request.chunk_size, "chunk_size")
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
@@ -913,13 +842,7 @@ class ReliabilityService:
         # Unlocked like every engine run; the engine writes the whole
         # warmed workload through the cache's batched ``put_many`` path —
         # one sidecar transaction however many queries were warmed.
-        engine = self._engine(
-            self.graph,
-            seed=seed,
-            chunk_size=request.chunk_size,
-            workers=request.workers,
-        )
-        result = engine.run(queries)
+        result = self._engine(self.graph, seed=seed).run(queries)
         self._count("warm")
         return WarmResponse(
             query_count=len(queries),
@@ -970,11 +893,6 @@ class ReliabilityService:
                 f"got [{request.start}, {request.stop})"
             )
         self._check_positive(request.chunk_size, "chunk_size")
-        if request.kernels is not None and request.kernels not in KERNEL_MODES:
-            raise InvalidQueryError(
-                f"unknown kernel mode {request.kernels!r}; "
-                f"known: {', '.join(KERNEL_MODES)}"
-            )
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
@@ -991,9 +909,6 @@ class ReliabilityService:
                 else request.chunk_size
             ),
             workers=1,
-            kernels=(
-                self.kernels if request.kernels is None else request.kernels
-            ),
             cache_capacity=1,
         )
         result = engine.run_range(queries, request.start, request.stop)
@@ -1397,7 +1312,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_REWARM_TOP",
     "FAST_BATCH_PATHS",
-    "KERNEL_MODES",
     "QUERY_LOG_CAPACITY",
     "ReliabilityService",
 ]

@@ -343,7 +343,8 @@ class BatchRequest(Wire, what="a batch request"):
     ``samples``/``max_hops`` are the workload-level defaults applied to
     entries that do not carry their own; ``seed=None`` inherits the
     service's seed so a request replayed against the same service is
-    exactly cacheable.
+    exactly cacheable.  How the engine sweeps (chunk size, worker
+    processes) is the service's configuration, never a request's.
     """
 
     queries: Tuple[QuerySpec, ...] = _queries()
@@ -351,9 +352,6 @@ class BatchRequest(Wire, what="a batch request"):
     samples: int = 1_000
     seed: Optional[int] = None
     max_hops: Optional[int] = None
-    chunk_size: Optional[int] = None
-    workers: Optional[int] = None
-    kernels: Optional[str] = None
     sequential: bool = False
 
 
@@ -370,8 +368,6 @@ class WarmRequest(Wire, what="a warm request"):
     samples: int = 1_000
     seed: Optional[int] = None
     max_hops: Optional[int] = None
-    chunk_size: Optional[int] = None
-    workers: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -446,7 +442,6 @@ class ShardRunRequest(Wire, what="a shard run request"):
     samples: int = 1_000
     max_hops: Optional[int] = None
     chunk_size: Optional[int] = None
-    kernels: Optional[str] = None
 
 
 @dataclass(frozen=True)

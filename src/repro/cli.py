@@ -50,7 +50,6 @@ from repro.api.service import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_REWARM_TOP,
     FAST_BATCH_PATHS,
-    KERNEL_MODES,
 )
 from repro.api.types import ENDPOINT_TABLE
 from repro.core.registry import PAPER_ESTIMATORS, VARIANCE_SAMPLERS
@@ -94,14 +93,14 @@ def _add_workload_arguments(
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None,
-        help=f"worlds materialised per streaming step "
-             f"(default: {DEFAULT_CHUNK_SIZE})",
+        help=f"service configuration: worlds materialised per streaming "
+             f"step (default: {DEFAULT_CHUNK_SIZE})",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the engine's chunk sweep (default: "
-             "$REPRO_ENGINE_WORKERS or 1); results are bit-identical to "
-             "the serial sweep",
+        help="service configuration: worker processes for the engine's "
+             "chunk sweep (default: $REPRO_ENGINE_WORKERS or 1); results "
+             "are bit-identical to the serial sweep",
     )
 
 
@@ -140,12 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "engine fast path, 'prob_tree' groups the batch by (s, t) "
              "bag pair, the others fall back to a per-query loop; "
              "'auto' lets the adaptive router pick (default: mc)",
-    )
-    batch.add_argument(
-        "--kernels", choices=KERNEL_MODES, default=None,
-        help="engine sweep implementation: 'python' (reference loops) or "
-             "'vectorized' (packed uint64 numpy kernels); bit-identical "
-             "results (default: $REPRO_ENGINE_KERNELS or vectorized)",
     )
     batch.add_argument(
         "--cache-dir", default=None,
@@ -201,12 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--workers", type=int, default=None,
-        help="default worker processes for served workloads",
-    )
-    serve_cmd.add_argument(
-        "--kernels", choices=KERNEL_MODES, default=None,
-        help="default engine sweep implementation for served workloads "
-             "(default: $REPRO_ENGINE_KERNELS or vectorized)",
+        help="worker processes for served workloads",
     )
     serve_cmd.add_argument(
         "--rewarm-top", type=int, default=DEFAULT_REWARM_TOP,
@@ -334,6 +322,15 @@ def _open_service(
         raise SystemExit(f"repro {args.command}: {error}") from None
 
 
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The service configuration ``batch``, ``warm`` and ``serve`` take."""
+    return dict(
+        cache_dir=args.cache_dir,
+        chunk_size=args.chunk_size,
+        workers=args.workers,
+    )
+
+
 def _parse_query_file(path: str) -> Tuple[QuerySpec, ...]:
     """Read a workload file: JSON entries/objects, or 's t [K [d]]' lines.
 
@@ -426,9 +423,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         method=args.method,
         samples=args.samples,
         max_hops=args.max_hops,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        kernels=args.kernels,
         sequential=args.sequential,
     )
     # The service states every request rule, once and in field terms;
@@ -452,7 +446,7 @@ def _command_batch(args: argparse.Namespace) -> int:
             "(--method mc, bfs_sharing, or prob_tree); the per-query "
             "loop has no exact cache key"
         )
-    service = _open_service(args, cache_dir=args.cache_dir)
+    service = _open_service(args, **_engine_options(args))
     try:
         response = service.estimate_batch(request)
     except ReliabilityError as error:
@@ -469,15 +463,11 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 def _command_warm(args: argparse.Namespace) -> int:
     queries = _parse_query_file(args.queries)
-    service = _open_service(args, cache_dir=args.cache_dir)
+    service = _open_service(args, **_engine_options(args))
     try:
         response = service.warm(
             WarmRequest(
-                queries=queries,
-                samples=args.samples,
-                max_hops=args.max_hops,
-                chunk_size=args.chunk_size,
-                workers=args.workers,
+                queries=queries, samples=args.samples, max_hops=args.max_hops
             )
         )
     except ReliabilityError as error:
@@ -511,12 +501,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             "repro serve: --shards only applies to a coordinator; "
             "add --coordinator"
         )
-    options = dict(
-        cache_dir=args.cache_dir,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        kernels=args.kernels,
-    )
+    options = _engine_options(args)
     service_cls = ReliabilityService
     if args.coordinator:
         from repro.distributed import (

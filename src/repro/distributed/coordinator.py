@@ -253,7 +253,7 @@ class ShardCoordinator:
 
         ``queries`` are the plan's *pending* unique queries (already
         resolved); ``engine`` supplies the stream identity (graph
-        fingerprint, seed, chunk size, kernels) and serves as the local
+        fingerprint, seed, chunk size) and serves as the local
         fallback evaluator.  Returns ``(hits, sweeps, contributors)``
         with ``hits`` aligned with ``queries`` and ``contributors`` the
         number of distinct hosts (local included) that served ranges.
@@ -279,7 +279,6 @@ class ShardCoordinator:
                 seed=engine.seed,
                 fingerprint=engine.fingerprint,
                 chunk_size=engine.chunk_size,
-                kernels=engine.kernels,
             )
 
         def local_evaluator(start: int, stop: int):

@@ -63,8 +63,9 @@ class CoordinatedReliabilityService(ReliabilityService):
         A :class:`ShardTierConfig`; ``None`` resolves the
         ``REPRO_SHARD_*`` environment knobs.
 
-    ``request.workers`` sizes nothing on the tier: parallelism comes
-    from the shards, and each applies its own compute configuration.
+    The coordinator's own ``workers`` sizes nothing on the tier:
+    parallelism comes from the shards, and each applies its own compute
+    configuration.
     ``method="auto"`` is resolved by the inherited router before any
     engine exists — dispatches carry world ranges, not methods.
     """

@@ -13,11 +13,9 @@ for the determinism contract.
 from repro.engine.batch import (
     DEFAULT_CHUNK_SIZE,
     KERNEL_MODES,
-    KERNELS_ENV_VAR,
     WORKERS_ENV_VAR,
     BatchEngine,
     BatchResult,
-    resolve_kernels,
     resolve_workers,
 )
 from repro.engine.cache import (
@@ -33,13 +31,11 @@ from repro.engine.pool import PoolClosedError, WorkerPool, shared_pool
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
     "WORKERS_ENV_VAR",
     "BatchEngine",
     "BatchResult",
     "PoolClosedError",
     "WorkerPool",
-    "resolve_kernels",
     "resolve_workers",
     "shared_pool",
     "PersistentResultCache",

@@ -71,12 +71,7 @@ from repro.engine.cache import (
     graph_fingerprint,
     result_key,
 )
-from repro.engine.kernels import (
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
-    resolve_kernels,
-    shared_fixpoint_vectorized,
-)
+from repro.engine.kernels import KERNEL_MODES, shared_fixpoint_vectorized
 from repro.engine.plan import BatchQuery, QueryLike, plan_queries
 from repro.util import bitset
 from repro.util.rng import stable_substream
@@ -239,13 +234,13 @@ class BatchEngine:
         per-range hit counts are summed in the parent — bit-identical to
         the inline sweep by the determinism contract.
     kernels:
-        ``"vectorized"`` (the frontier-bulk kernels of
+        ``"vectorized"`` (the default: the frontier-bulk kernels of
         :mod:`repro.engine.kernels`) or ``"python"`` (the historical
-        per-node loops, kept as the reference kernel).  ``None`` reads
-        ``REPRO_ENGINE_KERNELS`` (default ``"vectorized"``).
-        Both kernel sets compute the identical fixpoint, so estimates
-        are bit-identical either way (the kernel conformance suite pins
-        this); the knob is purely a constant-factor lever.
+        per-node loops, kept as the in-process reference the kernel
+        conformance suite compares against).  Both compute the identical
+        fixpoint, so estimates are bit-identical either way.  Only this
+        thread's sweeps honour it: ranges handed to a ``pool`` always
+        sweep the default kernels.
     pool:
         The range evaluator: where a run's pending worlds ``[0, K)`` are
         swept when not in this thread.  Anything with ``evaluate(engine,
@@ -275,7 +270,7 @@ class BatchEngine:
         seed: Optional[int] = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         workers: Optional[int] = None,
-        kernels: Optional[str] = None,
+        kernels: str = "vectorized",
         pool=None,
         cache: Optional[ResultCache] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
@@ -286,7 +281,12 @@ class BatchEngine:
         self.seed = int(seed)
         self.chunk_size = check_positive(chunk_size, "chunk_size")
         self.workers = resolve_workers(workers)
-        self.kernels = resolve_kernels(kernels)
+        if kernels not in KERNEL_MODES:
+            raise ValueError(
+                f"unknown kernel mode {kernels!r}; "
+                f"known: {', '.join(KERNEL_MODES)}"
+            )
+        self.kernels = kernels
         self.pool = pool
         self.cache = ResultCache(cache_capacity) if cache is None else cache
         self.fingerprint = graph_fingerprint(graph)
@@ -662,12 +662,10 @@ class BatchEngine:
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
     "WORKERS_ENV_VAR",
     "BatchResult",
     "RangeResult",
     "BatchEngine",
     "partition_ranges",
-    "resolve_kernels",
     "resolve_workers",
 ]

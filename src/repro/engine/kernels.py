@@ -28,19 +28,16 @@ hypothesis-generated graphs.  The one permitted divergence is the
 ``edges_probed`` *instrumentation* of the unbounded fixpoint, which is a
 property of the schedule, not of the answer.
 
-Selection: ``BatchEngine(kernels="vectorized")`` routes the chunk sweep
-through this module; ``kernels=None`` consults the
-``REPRO_ENGINE_KERNELS`` environment variable and falls back to
-``"vectorized"``.  ``kernels="python"`` selects the historical per-node
-kernels, the reference the conformance suite compares against.  Range
-evaluators — the workers of :mod:`repro.engine.pool` and the shards of
-:mod:`repro.distributed` — are sent the dispatching engine's choice
-with every range.
+Selection: every engine sweeps through this module by default.
+``BatchEngine(kernels="python")`` selects the historical per-node
+kernels in-process only — the reference the conformance suite compares
+against, not a served option.  Range evaluators — the workers of
+:mod:`repro.engine.pool` and the shards of :mod:`repro.distributed` —
+always sweep the default kernels.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -50,22 +47,6 @@ from repro.util import bitset
 
 #: Kernel implementations accepted by :class:`~repro.engine.batch.BatchEngine`.
 KERNEL_MODES = ("python", "vectorized")
-
-#: Environment variable supplying the default kernel mode; lets CI (and
-#: operators) route an unmodified test suite or workload through the
-#: reference Python sweeps, mirroring ``REPRO_ENGINE_WORKERS``.
-KERNELS_ENV_VAR = "REPRO_ENGINE_KERNELS"
-
-
-def resolve_kernels(kernels: Optional[str]) -> str:
-    """Resolve a ``kernels`` knob: explicit, else env var, else vectorized."""
-    if kernels is None:
-        kernels = os.environ.get(KERNELS_ENV_VAR, "").strip() or "vectorized"
-    if kernels not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {kernels!r}; known: {', '.join(KERNEL_MODES)}"
-        )
-    return kernels
 
 
 def _scatter_or(
@@ -141,7 +122,5 @@ def shared_fixpoint_vectorized(
 
 __all__ = [
     "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
-    "resolve_kernels",
     "shared_fixpoint_vectorized",
 ]

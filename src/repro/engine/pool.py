@@ -93,19 +93,18 @@ def _initialise_worker(graph) -> None:
 
 
 def _run_range(
-    stream: Tuple[int, int, str],
+    stream: Tuple[int, int],
     queries: Sequence[BatchQuery],
     start: int,
     stop: int,
 ) -> Tuple[np.ndarray, int]:
     """Worker-side task: ``run_range`` on an engine over the pinned graph."""
     assert _WORKER_GRAPH is not None, "pool worker used before initialisation"
-    seed, chunk_size, kernels = stream
+    seed, chunk_size = stream
     engine = BatchEngine(
         _WORKER_GRAPH,
         seed=seed,
         chunk_size=chunk_size,
-        kernels=kernels,
         workers=1,  # workers never nest pools
         cache_capacity=1,  # the parent owns the real result cache
     )
@@ -229,7 +228,7 @@ class WorkerPool:
         if len(ranges) < 2:
             result = engine.run_range(queries, 0, k_needed)
             return result.hits, result.sweeps, 1
-        stream = (engine.seed, engine.chunk_size, engine.kernels)
+        stream = (engine.seed, engine.chunk_size)
         try:
             hits, sweeps = self._dispatch(
                 self._ensure_started(), stream, queries, ranges
@@ -246,7 +245,7 @@ class WorkerPool:
     def _dispatch(
         self,
         executor: ProcessPoolExecutor,
-        stream: Tuple[int, int, str],
+        stream: Tuple[int, int],
         queries: Sequence[BatchQuery],
         ranges: Sequence[Tuple[int, int]],
     ) -> Tuple[np.ndarray, int]:

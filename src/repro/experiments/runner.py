@@ -213,7 +213,7 @@ def run_study(config: StudyConfig, *, service=None) -> StudyResult:
     hook, so the CLI, the HTTP server, and the experiment harness share
     a single code path into the estimator registry — and, for batch
     studies, into the engine: every batch runs on an engine from the
-    service's factory, so worker processes, kernels and the (possibly
+    service's factory, so worker processes, chunk size and the (possibly
     persistent) result cache are the service's own.  The cache key
     carries no estimator, so in a batch study ``bfs_sharing`` replays
     what ``mc`` already sampled (the two are bit-identical at equal

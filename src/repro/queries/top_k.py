@@ -48,7 +48,7 @@ def all_reliabilities(
 
     ``engine`` is the factory ``engine(graph, seed=...) -> BatchEngine``
     of :func:`~repro.core.estimators.base.run_engine_batch`: a service
-    hands in its own so the row inherits its chunk size and kernels.
+    hands in its own so the row inherits its chunk size.
     The row goes through ``run_range``, not ``run``: ``node_count``
     one-off estimates have no business in the result cache.
     """

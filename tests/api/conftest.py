@@ -5,25 +5,7 @@ import threading
 import pytest
 
 from repro.api import ReliabilityService
-from repro.engine.batch import WORKERS_ENV_VAR
 from repro.serve import create_server
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _golden_recording_is_of_the_default_configuration(request):
-    """``golden_wire.json`` was recorded with ``REPRO_ENGINE_WORKERS`` unset.
-
-    Worker count can never change an estimate, but it does change one
-    honest report: ``/v1/update`` says ``"pool": "respawned"`` when the
-    service had built a pool.  The CI leg that runs the whole suite under
-    ``REPRO_ENGINE_WORKERS=2`` must replay the recording as recorded.
-    """
-    if not request.module.__name__.endswith("test_wire_golden"):
-        yield
-        return
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(WORKERS_ENV_VAR, raising=False)
-        yield
 
 
 @pytest.fixture(scope="module")

@@ -3,19 +3,20 @@
 Every engine a served request touches — the batch's own, a warm pass's,
 and the inner batches ``prob_tree`` runs over its lifted graphs — is
 built by the service's factory, so they all share the service's result
-cache, kernels, chunk size and worker count.  These tests pin the
-property from the outside: what gets constructed, what leaks, what is
-shared.
+cache, chunk size and worker count.  These tests pin the property from
+the outside: what gets constructed, what leaks, what is shared.
 """
 
-import functools
 import os
 
 import pytest
 
 from repro.api import BatchRequest, QuerySpec, ReliabilityService
 from repro.engine import cache as cache_module
+from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
+from repro.engine.cache import graph_fingerprint
+from repro.engine.pool import close_shared_pools, registered_pool
 from repro.experiments.convergence import ConvergenceCriterion
 from repro.experiments.runner import StudyConfig
 
@@ -93,19 +94,13 @@ class TestFactoryConfiguration:
     def test_engines_carry_the_service_configuration(self):
         with ReliabilityService.from_dataset(
             "lastfm", "tiny", seed=3,
-            chunk_size=64, workers=1, kernels="vectorized",
+            chunk_size=64, workers=2,
         ) as service:
             engine = service._engine(service.graph, seed=9)
             assert isinstance(engine, BatchEngine)
             assert engine.cache is service._cache
             assert (engine.seed, engine.chunk_size) == (9, 64)
-            assert (engine.workers, engine.kernels) == (1, "vectorized")
-            # A request's own value wins; the cache is never negotiable.
-            override = functools.partial(service._engine, workers=2)(
-                service.graph, seed=9
-            )
-            assert override.workers == 2
-            assert override.cache is service._cache
+            assert (engine.workers, engine.kernels) == (2, "vectorized")
 
     def test_batch_studies_run_on_the_service_factory(self):
         with ReliabilityService.from_dataset(
@@ -127,3 +122,59 @@ class TestFactoryConfiguration:
                 again.results["mc"].points[0].per_pair_means.tolist()
                 == first.results["mc"].points[0].per_pair_means.tolist()
             )
+
+
+#: Six lastfm/small pairs whose covering bag pairs all differ: a
+#: ``prob_tree`` batch over them lifts six distinct query graphs — more
+#: than the pool registry holds — each swept at a multi-chunk budget.
+LIFTED_PAIRS = ((0, 1), (4, 19), (17, 53), (19, 20), (20, 56), (38, 74))
+
+
+class TestOnlyTheServedGraphFansOut:
+    @pytest.fixture(autouse=True)
+    def _clean_registry(self):
+        close_shared_pools()
+        yield
+        close_shared_pools()
+
+    @staticmethod
+    def serve(workers):
+        """An ``mc`` batch, then a ``prob_tree`` one; estimates + registry."""
+        requests = (
+            BatchRequest(queries=(QuerySpec(0, 5, 1000), QuerySpec(3, 9, 1000))),
+            BatchRequest(
+                queries=tuple(QuerySpec(s, t, 1000) for s, t in LIFTED_PAIRS),
+                method="prob_tree",
+            ),
+        )
+        with ReliabilityService.from_dataset(
+            "lastfm", "small", seed=0, workers=workers
+        ) as service:
+            index = service.estimator("prob_tree").index
+            lift_keys = {index.lift_key(s, t) for s, t in LIFTED_PAIRS}
+            assert len(lift_keys) == len(LIFTED_PAIRS)
+            estimates = [
+                service.estimate_batch(request).estimates
+                for request in requests
+            ]
+            served = graph_fingerprint(service.graph)
+            registry = list(pool_module._REGISTRY)
+            pool = registered_pool(service.graph)
+            closed = None if pool is None else pool.closed
+        return estimates, served, registry, closed
+
+    def test_the_factory_fans_out_over_the_served_graph_only(self):
+        with ReliabilityService.from_dataset(
+            "lastfm", "tiny", seed=3, workers=2
+        ) as service:
+            lifted, _ = service.estimator("prob_tree").lifted_graph((-1, -1))
+            assert service._engine(service.graph, seed=1).workers == 2
+            assert service._engine(lifted, seed=1).workers == 1
+
+    def test_lifted_query_graphs_sweep_inline(self):
+        estimates, served, registry, closed = self.serve(workers=2)
+        # Only the served graph's pool was forked, and no lifted graph
+        # evicted (and closed) it on the way.
+        assert registry == [served]
+        assert closed is False
+        assert estimates == self.serve(workers=1)[0]

@@ -214,14 +214,6 @@ class TestEstimateBatch:
                 )
             )
 
-    def test_workers_on_fallback_rejected(self, service):
-        with pytest.raises(InvalidQueryError, match="fast path"):
-            service.estimate_batch(
-                BatchRequest(
-                    queries=(QuerySpec(0, 5, 100),), method="rhh", workers=2
-                )
-            )
-
     def test_sequential_on_persistent_service_rejected(self, tmp_path):
         with ReliabilityService.from_dataset(
             "lastfm", "tiny", seed=3, cache_dir=str(tmp_path)
@@ -312,7 +304,7 @@ class TestOtherEndpoints:
                         "lastfm", "tiny", seed=3, **options
                     )
                 )
-                for options in ({"chunk_size": 64}, {"kernels": "vectorized"})
+                for options in ({"chunk_size": 64}, {"workers": 2})
             ]
             for seed, source in itertools.product((4, 21), (0, 7)):
                 request = TopKRequest(

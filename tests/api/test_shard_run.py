@@ -16,7 +16,6 @@ from repro.api import (
     FingerprintMismatchError,
     InvalidQueryError,
     QuerySpec,
-    ReliabilityError,
     ReliabilityService,
     ShardRunRequest,
     ShardRunResponse,
@@ -118,10 +117,6 @@ class TestShardRunRejections:
             service.shard_run(shard_request(service, -5, 100))
         with pytest.raises(InvalidQueryError):
             service.shard_run(shard_request(service, 100, 50))
-
-    def test_unknown_kernels_rejected(self, service):
-        with pytest.raises(ReliabilityError):
-            service.shard_run(shard_request(service, 0, 50, kernels="cuda"))
 
 
 class TestShardRunWireTypes:

@@ -113,13 +113,13 @@ class TestRequestParsing:
             "method": "bfs_sharing",
             "samples": 150,
             "seed": 7,
-            "workers": 2,
+            "max_hops": 2,
         }
         request = BatchRequest.from_dict(payload)
         assert request.method == "bfs_sharing"
         assert request.samples == 150
         assert request.seed == 7
-        assert request.workers == 2
+        assert request.max_hops == 2
         assert request.queries == (
             QuerySpec(0, 5, 200, None),
             QuerySpec(3, 9, None, None),

@@ -155,7 +155,7 @@ class TestPoolLifecycle:
     def test_update_retires_the_predecessors_registry_pool(self):
         with make_service(workers=2) as service:
             assert service.stats()["pool"] is None
-            batch(service, workers=2)
+            batch(service)
             predecessor = service.graph
             pool = registered_pool(predecessor)
             assert pool is not None
@@ -170,7 +170,7 @@ class TestPoolLifecycle:
             assert registered_pool(predecessor) is None
             assert service.stats()["pool"] is None
             # The next multi-worker run registers one for the successor.
-            batch(service, workers=2)
+            batch(service)
             successor_pool = registered_pool(service.graph)
             assert successor_pool is not None and not successor_pool.closed
             assert successor_pool.fingerprint == graph_fingerprint(
@@ -210,7 +210,7 @@ class TestPoolLifecycle:
                 "shared_pool",
                 update_lands_after_the_run_resolved_its_pool,
             )
-            response = batch(service, workers=2)
+            response = batch(service)
             # PoolClosedError -> the chunk loop ran in this thread, over
             # the version the run had snapshot.
             assert service.graph is not predecessor

@@ -6,8 +6,11 @@ reply is compared with ``golden_wire.json`` — recorded at the commit
 *before* the wire types became one generic parser/serialiser — as
 ``json.dumps`` text, so key order and float spelling are part of the
 check.  Only wall-clock ``seconds`` values are normalised.  (The ``topk``
-document alone was re-recorded since: its reliabilities moved, not its
-shape, when top-k became a row of the engine's world stream.)
+document was re-recorded since: its reliabilities moved, not its shape,
+when top-k became a row of the engine's world stream.  So were three
+parser messages — ``batch_integer_kernels``, ``warm_unknown_key`` and
+``shard_run_unknown_key`` — when ``chunk_size`` / ``workers`` /
+``kernels`` left the request bodies for service configuration.)
 
 The cases run in file order against one service: both recommends and the
 ``method="auto"`` batch come first (the router is still cold, so its
@@ -173,8 +176,13 @@ def _normalised(document):
 
 
 def replay():
-    """Run every case against a fresh server; ``{name: [status, document]}``."""
-    service = ReliabilityService.from_dataset("lastfm", "tiny", seed=3)
+    """Run every case against a fresh server; ``{name: [status, document]}``.
+
+    ``workers=1`` pins the recorded configuration: worker count never
+    moves an estimate, but ``/v1/update`` honestly reports whether a pool
+    was retired, so ``REPRO_ENGINE_WORKERS`` must not reach this service.
+    """
+    service = ReliabilityService.from_dataset("lastfm", "tiny", seed=3, workers=1)
     # rewarm_top=0: the update case must not race a background re-warm.
     server = create_server(service, port=0, rewarm_top=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -235,13 +243,11 @@ QUERIES = (QuerySpec(0, 5, 200, None), QuerySpec(3, 9, None, 2))
 ROUND_TRIPS = [
     BatchRequest(
         queries=QUERIES, method="bfs_sharing", samples=150, seed=7,
-        max_hops=4, chunk_size=64, workers=2, kernels="vectorized",
-        sequential=True,
+        max_hops=4, sequential=True,
     ),
     ShardRunRequest(
         queries=QUERIES, start=64, stop=192, seed=11,
         fingerprint=FINGERPRINT, samples=300, max_hops=3, chunk_size=64,
-        kernels="python",
     ),
     ShardRunResponse(
         hits=(3, 0), start=64, stop=192, worlds_evaluated=128, sweeps=2,

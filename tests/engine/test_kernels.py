@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from repro.core.estimators.bfs_sharing import shared_reachability_fixpoint
 from repro.core.graph import UncertainGraph
 from repro.engine.batch import BatchEngine
-from repro.engine.kernels import (
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
-    resolve_kernels,
-    shared_fixpoint_vectorized,
-)
+from repro.engine.kernels import KERNEL_MODES, shared_fixpoint_vectorized
 from repro.util import bitset
 from tests.conftest import random_graph, small_graph_parts
 
@@ -46,28 +41,6 @@ HOP_BOUNDS = (None, 0, 1, 2, 9)
 def build(parts) -> UncertainGraph:
     node_count, edges = parts
     return UncertainGraph(node_count, edges)
-
-
-class TestResolveKernels:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        assert resolve_kernels("vectorized") == "vectorized"
-
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        assert resolve_kernels(None) == "python"
-
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        assert resolve_kernels(None) == "vectorized"
-
-    @pytest.mark.parametrize("bogus", ["simd", "PYTHON", ""])
-    def test_unknown_mode_rejected(self, bogus):
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            resolve_kernels(bogus)
-
-    def test_modes_cover_both_kernels(self):
-        assert KERNEL_MODES == ("python", "vectorized")
 
 
 class TestSharedFixpointConformance:
@@ -134,9 +107,11 @@ def graph():
 
 
 class TestEngineKernelConformance:
+    # The Python reference engines pin workers=1: ranges handed to a
+    # pool sweep the default kernels, so only an inline run is the oracle.
     def test_vectorized_equals_python_exactly(self, graph):
         python = BatchEngine(
-            graph, seed=5, chunk_size=64, kernels="python"
+            graph, seed=5, chunk_size=64, workers=1, kernels="python"
         ).run(WORKLOAD)
         vectorized = BatchEngine(
             graph, seed=5, chunk_size=64, kernels="vectorized"
@@ -161,12 +136,11 @@ class TestEngineKernelConformance:
         ).run(WORKLOAD)
         np.testing.assert_array_equal(serial.estimates, parallel.estimates)
 
-    def test_env_var_routes_engine(self, graph, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
+    def test_default_is_vectorized(self, graph):
         assert BatchEngine(graph, seed=5).kernels == "vectorized"
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        assert BatchEngine(graph, seed=5).kernels == "python"
+        assert KERNEL_MODES == ("python", "vectorized")
 
-    def test_unknown_mode_rejected_at_construction(self, graph):
+    @pytest.mark.parametrize("bogus", ["simd", "PYTHON", "", None])
+    def test_unknown_mode_rejected_at_construction(self, graph, bogus):
         with pytest.raises(ValueError, match="unknown kernel mode"):
-            BatchEngine(graph, seed=5, kernels="simd")
+            BatchEngine(graph, seed=5, kernels=bogus)

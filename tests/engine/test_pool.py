@@ -74,10 +74,16 @@ class TestConformance:
         assert set(pool.worker_pids()) == pids
         assert pool.statistics()["runs"] == 2
 
-    def test_pooled_vectorized_kernels_conform(self, graph, pool):
-        serial = BatchEngine(graph, seed=5, chunk_size=64).run(WORKLOAD)
-        pooled = run_pooled(graph, pool, kernels="vectorized")
-        np.testing.assert_array_equal(pooled.estimates, serial.estimates)
+    def test_pooled_run_matches_the_inline_python_kernel(self, graph, pool):
+        # Ranges sweep the default kernels in the workers; the per-node
+        # Python kernels, run inline, are the reference they must match.
+        oracle = BatchEngine(
+            graph, seed=5, chunk_size=64, workers=1, kernels="python"
+        ).run(WORKLOAD)
+        pooled = run_pooled(graph, pool)
+        assert pooled.workers == 2
+        np.testing.assert_array_equal(pooled.estimates, oracle.estimates)
+        assert pooled.sweeps == oracle.sweeps
 
 
 class TestLifecycle:

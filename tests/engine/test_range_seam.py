@@ -72,7 +72,9 @@ def run_through(graph, seed=SEED, **options):
 
 @pytest.fixture(scope="module")
 def inline(graph):
-    return run_through(graph)
+    # The reference sweeps here with the per-node Python kernels; every
+    # evaluator below sweeps its ranges with the default ones.
+    return run_through(graph, kernels="python")
 
 
 @pytest.fixture()

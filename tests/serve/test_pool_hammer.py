@@ -14,7 +14,6 @@ import re
 import subprocess
 import sys
 import threading
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -138,22 +137,3 @@ class TestServePoolHammer:
         assert pool["closed"] is False
         assert pool["runs"] >= ROUNDS
         assert stats["requests"]["batch"] == CLIENTS * ROUNDS
-
-    def test_kernels_knob_served_bit_identically(self, served):
-        graph = load_dataset("lastfm", "tiny", SEED).graph
-        body = dict(BATCH_BODIES[0])
-        body["seed"] = SEED + 99
-        body["kernels"] = "vectorized"
-        payload = http_post(served, "/v1/batch", body)
-        oracle = BatchEngine(graph, seed=SEED + 99).run_sequential(
-            [tuple(query) for query in BATCH_BODIES[0]["queries"]]
-        )
-        assert [row["estimate"] for row in payload["results"]] == [
-            float(estimate) for estimate in oracle.estimates
-        ]
-
-    def test_unknown_kernels_rejected(self, served):
-        body = {"queries": [[0, 5, 100]], "kernels": "simd"}
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            http_post(served, "/v1/batch", body)
-        assert excinfo.value.code == 400

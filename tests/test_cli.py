@@ -495,13 +495,6 @@ class TestBatchValidation:
                   "--scale", "tiny", "--method", "rhh", "--sequential"])
         assert_rejected(failure, "sequential", "'mc'")
 
-    def test_chunk_size_requires_mc(self, tmp_path):
-        path = self._write(tmp_path, "[[0, 5, 100]]")
-        with pytest.raises(SystemExit) as failure:
-            main(["batch", "--queries", path, "--dataset", "lastfm",
-                  "--scale", "tiny", "--method", "rhh", "--chunk-size", "8"])
-        assert_rejected(failure, "chunk_size", "'mc'")
-
 
 class TestBatchFailurePaths:
     """Malformed workload files fail *early*, with entry-level context."""
@@ -561,12 +554,6 @@ class TestBatchFailurePaths:
         with pytest.raises(SystemExit, match="query 1"):
             self._run(path, "--method", "rhh")
 
-    def test_workers_requires_a_fast_path(self, tmp_path):
-        path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit) as failure:
-            self._run(path, "--method", "rhh", "--workers", "2")
-        assert_rejected(failure, "workers", "'rhh'")
-
     def test_cache_dir_requires_a_fast_path(self, tmp_path):
         path = self._write(tmp_path, "0 5 100\n")
         with pytest.raises(SystemExit, match="--cache-dir rides on a batch fast path"):
@@ -583,12 +570,6 @@ class TestBatchFailurePaths:
         path = self._write(tmp_path, "0 5 100 2\n")
         with pytest.raises(SystemExit, match="shared-world engine"):
             self._run(path, "--method", "prob_tree")
-
-    def test_sequential_oracle_refuses_workers(self, tmp_path):
-        path = self._write(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit) as failure:
-            self._run(path, "--sequential", "--workers", "2")
-        assert_rejected(failure, "sequential", "workers")
 
 
 class TestBatchJsonForms:
