@@ -341,12 +341,10 @@ class ReliabilityService:
         return cls._estimator_class(method).batch_path
 
     def create_estimator(self, method: str, **options) -> Estimator:
-        """Construct a *fresh* estimator on the service's graph.
+        """Construct a *fresh* estimator on the service's current graph.
 
-        The construction hook the experiment runner uses
-        (:func:`repro.experiments.runner.build_estimator`): studies need
-        per-study estimator instances so their RNG state never leaks
-        between runs, unlike the cached instances serving requests.
+        Unlike :meth:`estimator`'s cached, request-serving instances, the
+        caller owns the result: its RNG state and index are its own.
         """
         self._estimator_class(method)  # raises UnknownEstimatorError
         options.setdefault("seed", self.seed)
@@ -1215,10 +1213,10 @@ class ReliabilityService:
     def study(self, config):
         """Run a convergence study (Tables 3-14 shaped) on this service.
 
-        The runner builds its estimators through
-        :meth:`create_estimator`, so studies and request serving share
-        one construction path.  The config must address this service's
-        dataset — a service wraps exactly one graph.
+        The config must address this service's dataset — a service wraps
+        exactly one graph — and describe some work: at least one pair,
+        one repeat and one K on the grid.  The runner builds fresh
+        estimators from the registry over that dataset.
         """
         if self.dataset is None:
             raise GraphLoadError(
@@ -1232,9 +1230,19 @@ class ReliabilityService:
                 f"study config addresses {identity}, this service serves "
                 f"{expected}"
             )
+        criterion = config.criterion
+        self._check_positive(config.pair_count, "pair_count")
+        self._check_positive(config.repeats, "repeats")
+        self._check_positive(criterion.k_start, "k_start")
+        self._check_positive(criterion.k_step, "k_step")
+        if criterion.k_start > criterion.k_max:
+            raise InvalidQueryError(
+                f"the K grid is empty: k_start={criterion.k_start} "
+                f"exceeds k_max={criterion.k_max}"
+            )
         from repro.experiments.runner import run_study
 
-        result = run_study(config, service=self)
+        result = run_study(config, dataset=self.dataset)
         self._count("study")
         return result
 

@@ -281,21 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--estimators", nargs="+", choices=PAPER_ESTIMATORS,
         default=["mc", "rhh", "rss"],
     )
-    study.add_argument(
-        "--batch", action="store_true",
-        help="submit each repeat's workload as one estimate_batch() call",
-    )
-    study.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for engine-backed batch evaluation "
-             "(requires --batch; cannot change any estimate)",
-    )
-    study.add_argument(
-        "--cache-dir", default=None,
-        help="persistent result-cache directory for engine-backed batch "
-             "evaluation (requires --batch); re-running the same study "
-             "warm-starts from the sidecar",
-    )
     return parser
 
 
@@ -632,14 +617,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
 
 
 def _command_study(args: argparse.Namespace) -> int:
-    if args.workers is not None and not args.batch:
-        raise SystemExit(
-            "repro study: --workers rides on the batch engine; add --batch"
-        )
-    if args.cache_dir is not None and not args.batch:
-        raise SystemExit(
-            "repro study: --cache-dir rides on the batch engine; add --batch"
-        )
     config = StudyConfig(
         dataset=args.dataset,
         scale=args.scale,
@@ -648,13 +625,8 @@ def _command_study(args: argparse.Namespace) -> int:
         criterion=ConvergenceCriterion(k_start=250, k_step=250, k_max=args.kmax),
         estimators=tuple(args.estimators),
         seed=args.seed,
-        use_batch_engine=args.batch,
     )
-    # --workers / --cache-dir configure the service; a batch study's
-    # engines all come from its factory.
-    service = _open_service(
-        args, workers=args.workers, cache_dir=args.cache_dir
-    )
+    service = _open_service(args)
     try:
         result = service.study(config)
     except ReliabilityError as error:

@@ -12,10 +12,6 @@ from repro.core.exact import (
     reliability_by_factoring,
     reliability_exact,
 )
-from repro.core.preprocess import (
-    certain_edge_fraction,
-    contract_certain_edges,
-)
 from repro.core.registry import (
     PAPER_ESTIMATORS,
     create_estimator,
@@ -35,8 +31,6 @@ __all__ = [
     "reliability_by_enumeration",
     "reliability_by_factoring",
     "reliability_exact",
-    "certain_edge_fraction",
-    "contract_certain_edges",
     "PAPER_ESTIMATORS",
     "create_estimator",
     "estimator_class",

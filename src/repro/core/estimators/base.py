@@ -95,10 +95,10 @@ def run_engine_batch(
     The common body behind the ``estimate_batch`` fast paths of MC and
     BFS Sharing: ask ``engine`` for a
     :class:`~repro.engine.batch.BatchEngine` over the estimator's graph,
-    run the workload, stash the engine and its
-    :class:`~repro.engine.batch.BatchResult` on the estimator (for
-    ``memory_bytes`` and for callers that want the instrumentation —
-    ``estimator.last_batch_result``), and return the estimates.
+    run the workload, keep its :class:`~repro.engine.batch.BatchResult`
+    on the estimator as ``estimator.last_batch_result`` (the run's
+    instrumentation, for callers that want it), and return the
+    estimates.
 
     ``engine`` is the one engine option of this layer: a factory
     ``engine(graph, seed=...) -> BatchEngine``.  Whoever owns a result
@@ -119,9 +119,7 @@ def run_engine_batch(
         engine = BatchEngine
     if seed is None:
         seed = int(estimator._rng.integers(2**63))
-    built = engine(estimator.graph, seed=seed)
-    result = built.run(queries)
-    estimator._batch_engine = built  # memory_bytes() reflects the run
+    result = engine(estimator.graph, seed=seed).run(queries)
     estimator.last_batch_result = result
     return result.estimates
 
@@ -177,7 +175,6 @@ class Estimator(abc.ABC):
         #: engine-served batch (``None`` when the last call took another
         #: path) — instrumentation for callers, e.g. ``repro batch``.
         self.last_batch_result = None
-        self._batch_engine = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -321,7 +318,6 @@ class Estimator(abc.ABC):
         """
         had_index = self.prepared
         self.graph = graph
-        self._batch_engine = None
         self.last_batch_result = None
         self._rebind_graph(graph)
         if had_index:

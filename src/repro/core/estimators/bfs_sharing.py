@@ -271,7 +271,6 @@ class BFSSharingEstimator(Estimator):
         """
         had_index = self._index is not None
         self.graph = graph
-        self._batch_engine = None
         self.last_batch_result = None
         self._index = None
         self._node_bits = None
@@ -320,7 +319,6 @@ class BFSSharingEstimator(Estimator):
         samples: int,
         rng: np.random.Generator,
     ) -> float:
-        self._batch_engine = None  # last query was per-query, not batched
         node_bits = self.reachability_bits(source, samples, rng)
         return bitset.popcount(node_bits[target]) / samples
 
@@ -369,10 +367,6 @@ class BFSSharingEstimator(Estimator):
         return run_engine_batch(self, queries, seed=seed, engine=engine)
 
     def memory_bytes(self) -> int:
-        if self._batch_engine is not None:
-            # The last query ran through the engine: its chunk working
-            # set — not the (unbuilt) monolithic index — was resident.
-            return self._batch_engine.memory_bytes()
         total = super().memory_bytes()
         if self._index is not None:
             total += self._index.size_bytes()

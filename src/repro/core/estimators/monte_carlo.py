@@ -44,7 +44,6 @@ class MonteCarloEstimator(Estimator):
         samples: int,
         rng: np.random.Generator,
     ) -> float:
-        self._batch_engine = None  # last query was per-query, not batched
         return self._sampler.estimate(source, target, samples, rng)
 
     def estimate_batch(
@@ -75,12 +74,8 @@ class MonteCarloEstimator(Estimator):
 
     def memory_bytes(self) -> int:
         # Graph + the reusable visited-epoch array + the frontier queue;
-        # MC keeps nothing else alive between samples (paper §2.8).  When
-        # the last query ran through the batch engine, its chunk working
-        # set is what was actually resident — report that instead.
+        # MC keeps nothing else alive between samples (paper §2.8).
         visited_bytes = self.graph.node_count * np.dtype(np.int64).itemsize
-        if self._batch_engine is not None:
-            return self._batch_engine.memory_bytes() + visited_bytes
         return super().memory_bytes() + visited_bytes
 
 

@@ -621,7 +621,6 @@ class ProbTreeEstimator(Estimator):
         """
         had_index = self._index is not None
         self.graph = graph
-        self._batch_engine = None
         self.last_batch_result = None
         self._last_query_graph = None
         self._lift_cache.clear()

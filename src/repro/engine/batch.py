@@ -189,26 +189,6 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def as_rows(self) -> Tuple[Dict[str, float], ...]:
-        """JSON-friendly per-query rows (the `repro batch` CLI payload)."""
-        return tuple(
-            {
-                "source": query.source,
-                "target": query.target,
-                "samples": query.samples,
-                "max_hops": query.max_hops,
-                "estimate": float(estimate),
-                **(
-                    {}
-                    if self.from_cache is None
-                    else {"cached": bool(self.from_cache[position])}
-                ),
-            }
-            for position, (query, estimate) in enumerate(
-                zip(self.queries, self.estimates)
-            )
-        )
-
 
 class BatchEngine:
     """Answers workloads of s-t reliability queries over one graph.
@@ -408,24 +388,6 @@ class BatchEngine:
             masks, chunk_start, count, groups, pending, hits
         )
         return hits, sweeps
-
-    def memory_bytes(self) -> int:
-        """Approximate peak working set of one chunk sweep (graph included).
-
-        The streaming bound the ``chunk_size`` knob enforces: one chunk of
-        boolean world masks plus the packed edge bits and one
-        node-reachability matrix (cf. §2.3's ``O(Km)`` index memory,
-        which the engine holds only ``chunk_size`` worlds of).
-        """
-        edge_count = self.graph.edge_count
-        node_count = self.graph.node_count
-        words = bitset.packed_words(self.chunk_size)
-        word_bytes = np.dtype(np.uint64).itemsize
-        total = self.graph.memory_bytes()
-        total += self.chunk_size * edge_count  # boolean mask chunk
-        total += edge_count * words * word_bytes  # packed edge bits
-        total += node_count * words * word_bytes  # fixpoint node bits
-        return total
 
     # ------------------------------------------------------------------
     # Evaluation strategies

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.estimators.base import EngineFactory, Estimator
+from repro.core.estimators.base import Estimator
 from repro.datasets.queries import QueryWorkload
 from repro.util.rng import stable_substream
 from repro.util.stats import dispersion_index
@@ -94,79 +94,30 @@ class ConvergenceResult:
         return None
 
 
-def _batch_repeat_seed(seed: int, repeat: int, samples: int) -> int:
-    """Integer root for one (repeat, K) batch — stable across runs.
-
-    Each repeat submits the whole workload as one batch; deriving an
-    independent integer per (seed, repeat, K) keeps repeats statistically
-    independent while letting the batch engine share worlds *within* a
-    repeat (paper §3.7's world reuse at workload granularity).
-    """
-    sequence = np.random.SeedSequence((int(seed), int(repeat), int(samples)))
-    return int(sequence.generate_state(1, dtype=np.uint64)[0])
-
-
 def evaluate_at_k(
     estimator: Estimator,
     workload: QueryWorkload,
     samples: int,
     repeats: int,
     seed: int = 0,
-    use_batch: bool = False,
-    max_hops: Optional[int] = None,
-    engine: Optional[EngineFactory] = None,
 ) -> SamplePoint:
     """Measure one (estimator, K) grid point over the whole workload.
 
-    Every (pair, repeat) cell gets its own RNG substream keyed additionally
-    by K, matching the paper's protocol of fully independent runs.  Query
-    wall time is averaged over all runs; the estimator's self-reported
-    working set is sampled after the last query.
-
-    With ``use_batch=True`` each repeat submits the whole workload through
-    :meth:`Estimator.estimate_batch` instead of the per-pair loop, letting
-    estimators with a shared-world fast path (MC via :mod:`repro.engine`)
-    amortise world sampling across pairs.  Repeats remain independent
-    (fresh batch seed per repeat); pairs within a repeat may share worlds,
-    which leaves every per-pair marginal distribution — and hence the
-    dispersion protocol's statistics — unchanged.
-
-    ``max_hops`` (§2.9 d-hop reliability: every query becomes "reaches
-    within ``max_hops`` edges") rides on the batch path and therefore
-    requires ``use_batch=True``; it changes the measured quantity
-    itself.  ``engine`` is the engine factory handed to
-    ``estimate_batch`` — workers, result cache and kernels are whatever
-    it configures, e.g. a service's — and cannot change estimates; the
-    per-pair loop builds no engine and ignores it.
+    Every (pair, repeat) cell is one independent :meth:`Estimator.estimate`
+    run on its own RNG substream keyed by ``(seed, pair, repeat, K)`` —
+    the paper's protocol of fully independent runs.  Query wall time is
+    averaged over all runs; the estimator's self-reported working set is
+    sampled after the last query.
     """
-    if max_hops is not None and not use_batch:
-        raise ValueError(
-            "max_hops measures d-hop reliability through the batch "
-            "engine; pass use_batch=True"
-        )
     pair_count = len(workload)
     estimates = np.zeros((pair_count, repeats), dtype=np.float64)
     started = time.perf_counter()
-    if use_batch:
+    for pair_index, (source, target) in enumerate(workload):
         for repeat in range(repeats):
-            queries = [
-                (source, target, samples)
-                if max_hops is None
-                else (source, target, samples, max_hops)
-                for source, target in workload
-            ]
-            estimates[:, repeat] = estimator.estimate_batch(
-                queries,
-                seed=_batch_repeat_seed(seed, repeat, samples),
-                engine=engine,
+            rng = stable_substream(seed, pair_index, repeat, samples)
+            estimates[pair_index, repeat] = estimator.estimate(
+                source, target, samples, rng=rng
             )
-    else:
-        for pair_index, (source, target) in enumerate(workload):
-            for repeat in range(repeats):
-                rng = stable_substream(seed, pair_index, repeat, samples)
-                estimates[pair_index, repeat] = estimator.estimate(
-                    source, target, samples, rng=rng
-                )
     elapsed = time.perf_counter() - started
 
     per_pair_means = estimates.mean(axis=1)
@@ -194,24 +145,15 @@ def run_convergence(
     repeats: int = DEFAULT_REPEATS,
     seed: int = 0,
     stop_at_convergence: bool = False,
-    use_batch: bool = False,
-    max_hops: Optional[int] = None,
-    engine: Optional[EngineFactory] = None,
 ) -> ConvergenceResult:
     """Walk the K grid until the dispersion criterion fires.
 
     With ``stop_at_convergence=False`` (default) the full grid is measured —
     needed by the trade-off figures (9-11), which plot past convergence.
-    ``use_batch`` routes each grid point through the workload-at-once path
-    of :func:`evaluate_at_k`; ``max_hops`` (which requires the batch
-    path) and ``engine`` are forwarded to it.
     """
     result = ConvergenceResult(estimator_key=getattr(estimator, "key", "?"))
     for samples in criterion.grid():
-        point = evaluate_at_k(
-            estimator, workload, samples, repeats, seed,
-            use_batch=use_batch, max_hops=max_hops, engine=engine,
-        )
+        point = evaluate_at_k(estimator, workload, samples, repeats, seed)
         result.points.append(point)
         converged = (
             result.converged_at is None

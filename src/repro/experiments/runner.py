@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.estimators.base import Estimator
 from repro.core.registry import PAPER_ESTIMATORS, create_estimator, display_name
 from repro.datasets.queries import QueryWorkload, generate_workload
-from repro.datasets.suite import Dataset
+from repro.datasets.suite import Dataset, load_dataset
 from repro.experiments.convergence import (
     ConvergenceCriterion,
     ConvergenceResult,
@@ -48,18 +48,6 @@ class StudyConfig:
     estimators: Sequence[str] = tuple(PAPER_ESTIMATORS)
     seed: int = 0
     estimator_options: Dict[str, dict] = field(default_factory=dict)
-    #: Submit the whole workload as one batch per repeat through
-    #: ``Estimator.estimate_batch`` — estimators with a shared-world fast
-    #: path (MC via :mod:`repro.engine`) then sample each possible world
-    #: once per repeat instead of once per (pair, repeat).  Off by default
-    #: to keep the per-(pair, repeat) substream protocol of the paper's
-    #: tables bit-for-bit stable.
-    use_batch_engine: bool = False
-    #: Hop bound for §2.9 d-hop reliability studies: every workload query
-    #: measures "reaches within max_hops edges" instead of plain
-    #: reachability.  Requires ``use_batch_engine=True`` and an estimator
-    #: with a d-hop fast path (MC).
-    max_hops: Optional[int] = None
 
     def options_for(self, key: str) -> dict:
         options = dict(self.estimator_options.get(key, {}))
@@ -187,54 +175,29 @@ class StudyResult:
         }
 
 
-def build_estimator(config: StudyConfig, key: str, graph, service=None) -> Estimator:
-    """Instantiate one estimator with the study's options applied.
+def build_estimator(config: StudyConfig, key: str, graph) -> Estimator:
+    """Instantiate one estimator from the registry with the study's options.
 
-    With a :class:`~repro.api.service.ReliabilityService` the estimator
-    is constructed through the facade's hook (same graph, same seed) —
-    the study path and the request-serving path then share one
-    construction story.  Estimators are always *fresh* per study: their
-    RNG state must not leak between runs.
+    Estimators are always *fresh* per study: their RNG state must not
+    leak between runs.
     """
-    if service is not None:
-        return service.create_estimator(
-            key, seed=config.seed, **config.options_for(key)
-        )
     return create_estimator(key, graph, seed=config.seed, **config.options_for(key))
 
 
-def run_study(config: StudyConfig, *, service=None) -> StudyResult:
+def run_study(
+    config: StudyConfig, *, dataset: Optional[Dataset] = None
+) -> StudyResult:
     """Execute a full study: all estimators, full K grid, shared workload.
 
-    Every study runs behind the :class:`~repro.api.service.
-    ReliabilityService` facade: pass one in (``service.study(config)``
-    does), or one is built here from the config's ``(dataset, scale,
-    seed)``.  Either way estimators come from the facade's construction
-    hook, so the CLI, the HTTP server, and the experiment harness share
-    a single code path into the estimator registry — and, for batch
-    studies, into the engine: every batch runs on an engine from the
-    service's factory, so worker processes, chunk size and the (possibly
-    persistent) result cache are the service's own.  The cache key
-    carries no estimator, so in a batch study ``bfs_sharing`` replays
-    what ``mc`` already sampled (the two are bit-identical at equal
-    seed) and its runtime column measures that replay — as it always
-    did under a persistent cache.
+    Every estimator is built fresh from the registry over ``dataset``'s
+    graph and measured by the paper's one protocol
+    (:func:`~repro.experiments.convergence.run_convergence`: independent
+    per-(pair, repeat) runs at each K).  ``dataset=None`` loads the
+    config's ``(dataset, scale, seed)``; a service's ``study`` method
+    passes the dataset it serves.
     """
-    if service is None:
-        # Imported lazily: experiments sit below api in the layer
-        # diagram, but the harness deliberately runs *through* the
-        # facade (docs/architecture.md "Serving layer").
-        from repro.api.service import ReliabilityService
-
-        service = ReliabilityService.from_dataset(
-            config.dataset, config.scale, config.seed
-        )
-    dataset = service.dataset
     if dataset is None:
-        raise ValueError(
-            "run_study needs a dataset-backed service; build it with "
-            "ReliabilityService.from_dataset(...)"
-        )
+        dataset = load_dataset(config.dataset, config.scale, config.seed)
     workload = generate_workload(
         dataset.graph,
         pair_count=config.pair_count,
@@ -245,7 +208,7 @@ def run_study(config: StudyConfig, *, service=None) -> StudyResult:
     results: Dict[str, ConvergenceResult] = {}
     prepare_seconds: Dict[str, float] = {}
     for key in config.estimators:
-        estimator = build_estimator(config, key, dataset.graph, service=service)
+        estimator = build_estimator(config, key, dataset.graph)
         started = time.perf_counter()
         estimator.prepare()
         prepare_seconds[key] = time.perf_counter() - started
@@ -255,9 +218,6 @@ def run_study(config: StudyConfig, *, service=None) -> StudyResult:
             criterion=config.criterion,
             repeats=config.repeats,
             seed=config.seed,
-            use_batch=config.use_batch_engine,
-            max_hops=config.max_hops,
-            engine=service._engine,
         )
 
     reference_key = (

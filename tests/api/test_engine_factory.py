@@ -17,8 +17,6 @@ from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
 from repro.engine.pool import close_shared_pools, registered_pool
-from repro.experiments.convergence import ConvergenceCriterion
-from repro.experiments.runner import StudyConfig
 
 PROB_TREE_BATCH = BatchRequest(
     queries=(
@@ -101,27 +99,6 @@ class TestFactoryConfiguration:
             assert engine.cache is service._cache
             assert (engine.seed, engine.chunk_size) == (9, 64)
             assert (engine.workers, engine.kernels) == (2, "vectorized")
-
-    def test_batch_studies_run_on_the_service_factory(self):
-        with ReliabilityService.from_dataset(
-            "lastfm", "tiny", seed=0
-        ) as service:
-            config = StudyConfig(
-                dataset="lastfm", scale="tiny", pair_count=2, repeats=2,
-                criterion=ConvergenceCriterion(
-                    k_start=250, k_step=250, k_max=250
-                ),
-                estimators=("mc",), seed=0, use_batch_engine=True,
-            )
-            first = service.study(config)
-            cached = service.stats()["cache"]["size"]
-            assert cached > 0  # the study's batches filled *this* cache
-            again = service.study(config)
-            assert service.stats()["cache"]["size"] == cached
-            assert (
-                again.results["mc"].points[0].per_pair_means.tolist()
-                == first.results["mc"].points[0].per_pair_means.tolist()
-            )
 
 
 #: Six lastfm/small pairs whose covering bag pairs all differ: a

@@ -425,6 +425,26 @@ class TestStudy:
         with pytest.raises(InvalidQueryError, match="addresses"):
             service.study(config)
 
+    @pytest.mark.parametrize(
+        "criterion,field",
+        [
+            (dict(k_start=0, k_step=250, k_max=500), "k_start"),
+            (dict(k_start=250, k_step=0, k_max=500), "k_step"),
+        ],
+    )
+    def test_a_study_needs_a_k_grid(self, criterion, field):
+        # The CLI cannot set these; an empty grid is covered in test_cli.
+        from repro.experiments.convergence import ConvergenceCriterion
+        from repro.experiments.runner import StudyConfig
+
+        config = StudyConfig(
+            dataset="lastfm", scale="tiny", seed=3,
+            criterion=ConvergenceCriterion(**criterion),
+        )
+        service = ReliabilityService.from_dataset("lastfm", "tiny", seed=3)
+        with pytest.raises(InvalidQueryError, match=field):
+            service.study(config)
+
     def test_raw_graph_service_refuses_studies(self, diamond_graph):
         from repro.experiments.runner import StudyConfig
 

@@ -167,14 +167,10 @@ class TestBatchFastPath:
         estimator.estimate_batch(self.WORKLOAD, seed=5)
         assert estimator._index is None
 
-    def test_memory_reports_chunk_working_set_after_batch(self, diamond_graph):
+    def test_memory_after_batch_holds_no_index(self, diamond_graph):
         estimator = BFSSharingEstimator(diamond_graph, seed=0)
         estimator.estimate_batch(self.WORKLOAD, seed=5)
-        batched = estimator.memory_bytes()
-        assert batched == estimator._batch_engine.memory_bytes()
-        estimator.estimate(0, 3, 64, rng=0)  # per-query path resets
-        assert estimator._batch_engine is None
-        assert estimator.memory_bytes() != batched
+        assert estimator.memory_bytes() == diamond_graph.memory_bytes()
 
     def test_estimates_are_plausible(self):
         graph = random_graph(3, node_count=9, edge_probability=0.3)

@@ -8,17 +8,13 @@ planner, and that the result cache never serves an estimate across
 different hop bounds.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
 from repro.core.estimators.monte_carlo import MonteCarloEstimator
 from repro.core.registry import create_estimator
-from repro.datasets.queries import QueryWorkload
 from repro.engine.batch import BatchEngine
 from repro.engine.plan import plan_queries
-from repro.experiments.convergence import evaluate_at_k
 from tests.conftest import random_graph
 
 
@@ -57,11 +53,22 @@ class TestSemantics:
         np.testing.assert_array_equal(batch.estimates, sequential.estimates)
 
     def test_report_rows_carry_hop_bound(self, diamond_graph):
-        rows = BatchEngine(diamond_graph, seed=3).run(
+        result = BatchEngine(diamond_graph, seed=3).run(
             [(0, 3, 10, 2), (0, 3, 10)]
-        ).as_rows()
-        assert rows[0]["max_hops"] == 2
-        assert rows[1]["max_hops"] is None
+        )
+        assert [query.max_hops for query in result.queries] == [2, None]
+        assert result.estimates.shape == (2,)
+
+    def test_hop_bound_can_only_shrink_an_estimate(self, graph):
+        # Same worlds, stricter indicator: estimates can only shrink.
+        pairs = [(0, 3), (1, 4), (2, 6)]
+        bounded = BatchEngine(graph, seed=0).run(
+            [(source, target, 200, 2) for source, target in pairs]
+        )
+        unbounded = BatchEngine(graph, seed=0).run(
+            [(source, target, 200) for source, target in pairs]
+        )
+        assert (bounded.estimates <= unbounded.estimates).all()
 
 
 class TestPlanning:
@@ -108,40 +115,6 @@ class TestEstimatorWiring:
         rhh = create_estimator("rhh", graph, seed=0)
         estimates = rhh.estimate_batch([(0, 3, 50, None)], seed=1)
         assert estimates.shape == (1,)
-
-
-class TestConvergenceWiring:
-    def test_dhop_grid_point_bounded_above_by_unbounded(self, graph):
-        workload = QueryWorkload(pairs=((0, 3), (1, 4)), hop_distance=2, seed=0)
-        mc = MonteCarloEstimator(graph, seed=0)
-        bounded = evaluate_at_k(
-            mc, workload, 200, repeats=2, seed=0, use_batch=True, max_hops=2
-        )
-        unbounded = evaluate_at_k(
-            mc, workload, 200, repeats=2, seed=0, use_batch=True
-        )
-        # Same worlds, stricter indicator: per-pair means can only shrink.
-        assert (bounded.per_pair_means <= unbounded.per_pair_means).all()
-
-    def test_the_engine_factory_cannot_change_a_grid_point(self, graph):
-        workload = QueryWorkload(pairs=((0, 3), (1, 4)), hop_distance=2, seed=0)
-        mc = MonteCarloEstimator(graph, seed=0)
-        serial = evaluate_at_k(
-            mc, workload, 300, repeats=2, seed=0, use_batch=True
-        )
-        parallel = evaluate_at_k(
-            mc, workload, 300, repeats=2, seed=0, use_batch=True,
-            engine=functools.partial(BatchEngine, workers=2, chunk_size=64),
-        )
-        np.testing.assert_array_equal(
-            serial.per_pair_means, parallel.per_pair_means
-        )
-
-    def test_max_hops_requires_batch_path(self, graph):
-        workload = QueryWorkload(pairs=((0, 3),), hop_distance=2, seed=0)
-        mc = MonteCarloEstimator(graph, seed=0)
-        with pytest.raises(ValueError, match="use_batch"):
-            evaluate_at_k(mc, workload, 100, repeats=1, seed=0, max_hops=2)
 
 
 class TestCacheKeying:

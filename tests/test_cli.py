@@ -160,6 +160,39 @@ class TestStudy:
         assert "Accuracy" in out
         assert "Running time" in out
 
+    STUDY = [
+        "study", "--dataset", "lastfm", "--scale", "tiny",
+        "--pairs", "2", "--repeats", "2", "--kmax", "250",
+        "--estimators", "mc",
+    ]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kmax", "100"], "K grid is empty"),
+            (["--repeats", "0"], "repeats must be a positive integer"),
+            (["--pairs", "0"], "pair_count must be a positive integer"),
+            (["--pairs", "-1"], "pair_count must be a positive integer"),
+        ],
+        ids=["empty-grid", "no-repeats", "no-pairs", "negative-pairs"],
+    )
+    def test_a_study_without_work_is_a_clean_error(self, flags, message):
+        # Later flags win, so each case overrides one field of STUDY.
+        with pytest.raises(SystemExit) as failure:
+            main(self.STUDY + flags)
+        code = failure.value.code
+        assert isinstance(code, str) and code.startswith("repro study: ")
+        assert message in code, code
+
+    @pytest.mark.parametrize(
+        "flags", [["--batch"], ["--workers", "2"], ["--cache-dir", "x"]]
+    )
+    def test_batch_study_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as failure:
+            main(self.STUDY + flags)
+        assert failure.value.code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_command_exits(self):
@@ -401,67 +434,6 @@ class TestBatchFastPaths:
         assert [r["estimate"] for r in first["results"]] == [
             r["estimate"] for r in second["results"]
         ]
-
-
-class TestStudyBatch:
-    def test_batched_study_runs(self, capsys):
-        code = main(
-            [
-                "study", "--dataset", "lastfm", "--scale", "tiny",
-                "--pairs", "2", "--repeats", "2", "--kmax", "500",
-                "--estimators", "mc", "--batch",
-            ]
-        )
-        assert code == 0
-        assert "Accuracy" in capsys.readouterr().out
-
-    def test_workers_ride_the_batch_path(self, capsys):
-        code = main(
-            [
-                "study", "--dataset", "lastfm", "--scale", "tiny",
-                "--pairs", "2", "--repeats", "2", "--kmax", "250",
-                "--estimators", "mc", "--batch", "--workers", "2",
-            ]
-        )
-        assert code == 0
-        assert "Accuracy" in capsys.readouterr().out
-
-    def test_workers_without_batch_rejected(self):
-        with pytest.raises(SystemExit, match="--batch"):
-            main(
-                [
-                    "study", "--dataset", "lastfm", "--scale", "tiny",
-                    "--pairs", "2", "--repeats", "2", "--kmax", "250",
-                    "--estimators", "mc", "--workers", "2",
-                ]
-            )
-
-    def test_cache_dir_without_batch_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="--batch"):
-            main(
-                [
-                    "study", "--dataset", "lastfm", "--scale", "tiny",
-                    "--pairs", "2", "--repeats", "2", "--kmax", "250",
-                    "--estimators", "mc", "--cache-dir", str(tmp_path),
-                ]
-            )
-
-    def test_cached_study_replays_identically(self, capsys, tmp_path):
-        arguments = [
-            "study", "--dataset", "lastfm", "--scale", "tiny",
-            "--pairs", "2", "--repeats", "2", "--kmax", "250",
-            "--estimators", "mc", "--batch",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(arguments) == 0
-        first = capsys.readouterr().out
-        assert main(arguments) == 0
-        second = capsys.readouterr().out
-        # Estimates replay bit-for-bit from the sidecar; wall-clock rows
-        # differ (the warm run is faster), so compare the accuracy table.
-        assert first.split("Running time")[0] == (
-            second.split("Running time")[0]
-        )
 
 
 class TestBatchValidation:
