@@ -17,6 +17,8 @@ from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
 from repro.engine.pool import close_shared_pools, registered_pool
+from repro.experiments.convergence import ConvergenceCriterion
+from repro.experiments.runner import StudyConfig
 
 PROB_TREE_BATCH = BatchRequest(
     queries=(
@@ -99,6 +101,28 @@ class TestFactoryConfiguration:
             assert engine.cache is service._cache
             assert (engine.seed, engine.chunk_size) == (9, 64)
             assert (engine.workers, engine.kernels) == (2, "vectorized")
+
+    def test_studies_stay_off_the_service_cache(self):
+        # A study runs per-(pair, repeat) estimates: it neither fills the
+        # request cache nor replays from it, so repeats are re-measured.
+        with ReliabilityService.from_dataset(
+            "lastfm", "tiny", seed=0
+        ) as service:
+            config = StudyConfig(
+                dataset="lastfm", scale="tiny", pair_count=2, repeats=2,
+                criterion=ConvergenceCriterion(
+                    k_start=250, k_step=250, k_max=250
+                ),
+                estimators=("mc",), seed=0,
+            )
+            first = service.study(config)
+            assert service.stats()["cache"]["size"] == 0
+            again = service.study(config)
+            assert service.stats()["cache"]["size"] == 0
+            assert (
+                again.results["mc"].points[0].per_pair_means.tolist()
+                == first.results["mc"].points[0].per_pair_means.tolist()
+            )
 
 
 #: Six lastfm/small pairs whose covering bag pairs all differ: a

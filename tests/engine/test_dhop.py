@@ -8,6 +8,8 @@ planner, and that the result cache never serves an estimate across
 different hop bounds.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestEstimatorWiring:
         np.testing.assert_array_equal(
             via_estimator, via_engine.estimates
         )
+
+    def test_the_engine_factory_cannot_change_a_dhop_batch(self, graph):
+        queries = [(0, 3, 300, 2), (1, 4, 300, 2), (2, 6, 300)]
+        serial = MonteCarloEstimator(graph, seed=0).estimate_batch(
+            queries, seed=0
+        )
+        parallel = MonteCarloEstimator(graph, seed=0).estimate_batch(
+            queries, seed=0,
+            engine=functools.partial(BatchEngine, workers=2, chunk_size=64),
+        )
+        np.testing.assert_array_equal(serial, parallel)
 
     def test_fallback_estimators_reject_hop_bounded_batches(self, graph):
         rhh = create_estimator("rhh", graph, seed=0)

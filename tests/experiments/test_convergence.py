@@ -6,12 +6,16 @@ import pytest
 from repro.core.estimators.base import Estimator
 from repro.core.estimators.monte_carlo import MonteCarloEstimator
 from repro.core.graph import UncertainGraph
+from repro.core.registry import PAPER_ESTIMATORS, create_estimator
 from repro.datasets.queries import QueryWorkload
 from repro.experiments.convergence import (
     ConvergenceCriterion,
     evaluate_at_k,
     run_convergence,
 )
+from repro.experiments.runner import StudyConfig
+from repro.util.rng import stable_substream
+from tests.conftest import random_graph
 
 
 class StubEstimator(Estimator):
@@ -151,4 +155,111 @@ class TestRunConvergence:
             seed=0,
         )
         assert result.points[-1].average_variance < result.points[0].average_variance
+
+
+@pytest.fixture(scope="module")
+def sampled_graph():
+    return random_graph(seed=11, node_count=12, edge_probability=0.25)
+
+
+SAMPLED_WORKLOAD = QueryWorkload(
+    pairs=((0, 3), (1, 4), (2, 6)), hop_distance=2, seed=0
+)
+
+
+class TestProtocol:
+    """The per-(pair, repeat) substream protocol against real estimators."""
+
+    def test_grid_point_matches_protocol_shape(self, sampled_graph):
+        mc = MonteCarloEstimator(sampled_graph, seed=0)
+        point = evaluate_at_k(
+            mc, SAMPLED_WORKLOAD, samples=200, repeats=3, seed=0
+        )
+        assert point.per_pair_means.shape == (3,)
+        assert 0.0 <= point.average_reliability <= 1.0
+        assert point.samples == 200
+
+    def test_grid_point_is_deterministic(self, sampled_graph):
+        mc = MonteCarloEstimator(sampled_graph, seed=0)
+        a = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=2, seed=1)
+        b = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=2, seed=1)
+        np.testing.assert_array_equal(a.per_pair_means, b.per_pair_means)
+        assert a.average_variance == b.average_variance
+
+    def test_every_cell_is_one_run_on_its_own_substream(self, sampled_graph):
+        samples, repeats, seed = 120, 3, 4
+        point = evaluate_at_k(
+            MonteCarloEstimator(sampled_graph, seed=0),
+            SAMPLED_WORKLOAD, samples, repeats, seed,
+        )
+        mc = MonteCarloEstimator(sampled_graph, seed=0)
+        cells = np.array(
+            [
+                [
+                    mc.estimate(
+                        source, target, samples,
+                        rng=stable_substream(seed, pair, repeat, samples),
+                    )
+                    for repeat in range(repeats)
+                ]
+                for pair, (source, target) in enumerate(SAMPLED_WORKLOAD)
+            ]
+        )
+        np.testing.assert_array_equal(point.per_pair_means, cells.mean(axis=1))
+        assert point.average_variance == cells.var(axis=1, ddof=1).mean()
+
+    def test_a_pair_ignores_the_pairs_after_it(self, sampled_graph):
+        # Substreams are keyed by pair position, not by the workload size.
+        head = QueryWorkload(pairs=((0, 3),), hop_distance=2, seed=0)
+        alone = evaluate_at_k(
+            MonteCarloEstimator(sampled_graph, seed=0), head, 150, 3, seed=2
+        )
+        among = evaluate_at_k(
+            MonteCarloEstimator(sampled_graph, seed=0),
+            SAMPLED_WORKLOAD, 150, 3, seed=2,
+        )
+        assert alone.per_pair_means[0] == among.per_pair_means[0]
+
+    def test_the_seed_picks_the_substreams(self, sampled_graph):
+        mc = MonteCarloEstimator(sampled_graph, seed=0)
+        a = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=3, seed=1)
+        b = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=3, seed=2)
+        assert not np.array_equal(a.per_pair_means, b.per_pair_means)
+
+    def test_convergence_points_are_their_grid_point_evaluations(
+        self, sampled_graph
+    ):
+        criterion = ConvergenceCriterion(k_start=100, k_step=100, k_max=300)
+        result = run_convergence(
+            MonteCarloEstimator(sampled_graph, seed=0),
+            SAMPLED_WORKLOAD, criterion=criterion, repeats=3, seed=5,
+        )
+        for point in result.points:
+            alone = evaluate_at_k(
+                MonteCarloEstimator(sampled_graph, seed=0),
+                SAMPLED_WORKLOAD, point.samples, repeats=3, seed=5,
+            )
+            np.testing.assert_array_equal(
+                point.per_pair_means, alone.per_pair_means
+            )
+
+    @pytest.mark.parametrize("key", PAPER_ESTIMATORS)
+    def test_estimator_history_cannot_change_a_grid_point(
+        self, sampled_graph, key
+    ):
+        # Independent runs: a grid point measured after other grid points
+        # equals the same grid point on a freshly built estimator.
+        options = StudyConfig(dataset="lastfm").options_for(key)
+
+        def build():
+            return create_estimator(key, sampled_graph, seed=0, **options)
+
+        walked = build()
+        for samples in (100, 300):
+            evaluate_at_k(walked, SAMPLED_WORKLOAD, samples, repeats=2, seed=3)
+        after = evaluate_at_k(walked, SAMPLED_WORKLOAD, 200, repeats=2, seed=3)
+        fresh = evaluate_at_k(build(), SAMPLED_WORKLOAD, 200, repeats=2, seed=3)
+        np.testing.assert_array_equal(
+            after.per_pair_means, fresh.per_pair_means
+        )
 

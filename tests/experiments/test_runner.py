@@ -1,9 +1,11 @@
 """Integration tests for the study runner (small but end-to-end)."""
 
+import numpy as np
 import pytest
 
+from repro.datasets.suite import load_dataset
 from repro.experiments.convergence import ConvergenceCriterion
-from repro.experiments.runner import StudyConfig, run_study
+from repro.experiments.runner import StudyConfig, build_estimator, run_study
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +78,28 @@ class TestStudyResult:
         reference = study_result.reference_per_pair
         assert reference.shape == (4,)
         assert ((reference >= 0) & (reference <= 1)).all()
+
+
+class TestStudyInputs:
+    def test_a_given_dataset_equals_the_loaded_one(self, study_result):
+        config = study_result.config
+        given = run_study(
+            config,
+            dataset=load_dataset(config.dataset, config.scale, config.seed),
+        )
+        assert given.workload.pairs == study_result.workload.pairs
+        for key, result in study_result.results.items():
+            for point, again in zip(result.points, given.results[key].points):
+                np.testing.assert_array_equal(
+                    point.per_pair_means, again.per_pair_means
+                )
+
+    def test_estimators_are_fresh_and_carry_the_study_options(self):
+        config = StudyConfig(dataset="lastfm", scale="tiny")
+        graph = load_dataset("lastfm", "tiny", 0).graph
+        first = build_estimator(config, "bfs_sharing", graph)
+        second = build_estimator(config, "bfs_sharing", graph)
+        assert first is not second
+        assert first.graph is graph
+        assert first.capacity == config.criterion.k_max
+        assert first.refresh_per_query is True

@@ -184,6 +184,18 @@ class TestStudy:
         assert isinstance(code, str) and code.startswith("repro study: ")
         assert message in code, code
 
+    def test_study_replays_identically(self, capsys):
+        assert main(self.STUDY) == 0
+        first = capsys.readouterr().out
+        assert main(self.STUDY) == 0
+        second = capsys.readouterr().out
+        # Estimates are seeded per (pair, repeat, K); wall-clock rows
+        # differ between runs, so compare the accuracy table.
+        assert "Accuracy" in first
+        assert first.split("Running time")[0] == (
+            second.split("Running time")[0]
+        )
+
     @pytest.mark.parametrize(
         "flags", [["--batch"], ["--workers", "2"], ["--cache-dir", "x"]]
     )
