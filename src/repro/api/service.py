@@ -1215,8 +1215,10 @@ class ReliabilityService:
 
         The config must address this service's dataset — a service wraps
         exactly one graph — and describe some work: at least one pair,
-        one repeat and one K on the grid.  The runner builds fresh
-        estimators from the registry over that dataset.
+        one repeat and one K on the grid.  The runner loads that suite
+        dataset and builds fresh estimators from the registry over it, so
+        a service whose graph a live update has replaced refuses studies
+        rather than measure a graph it no longer serves.
         """
         if self.dataset is None:
             raise GraphLoadError(
@@ -1230,6 +1232,11 @@ class ReliabilityService:
                 f"study config addresses {identity}, this service serves "
                 f"{expected}"
             )
+        if self.graph is not self.dataset.graph:
+            raise InvalidQueryError(
+                "this service's graph was updated; studies measure the "
+                "suite dataset"
+            )
         criterion = config.criterion
         self._check_positive(config.pair_count, "pair_count")
         self._check_positive(config.repeats, "repeats")
@@ -1242,7 +1249,7 @@ class ReliabilityService:
             )
         from repro.experiments.runner import run_study
 
-        result = run_study(config, dataset=self.dataset)
+        result = run_study(config)
         self._count("study")
         return result
 

@@ -184,20 +184,16 @@ def build_estimator(config: StudyConfig, key: str, graph) -> Estimator:
     return create_estimator(key, graph, seed=config.seed, **config.options_for(key))
 
 
-def run_study(
-    config: StudyConfig, *, dataset: Optional[Dataset] = None
-) -> StudyResult:
+def run_study(config: StudyConfig) -> StudyResult:
     """Execute a full study: all estimators, full K grid, shared workload.
 
-    Every estimator is built fresh from the registry over ``dataset``'s
-    graph and measured by the paper's one protocol
+    Loads the config's ``(dataset, scale, seed)``, builds every estimator
+    fresh from the registry over its graph and measures each by the
+    paper's one protocol
     (:func:`~repro.experiments.convergence.run_convergence`: independent
-    per-(pair, repeat) runs at each K).  ``dataset=None`` loads the
-    config's ``(dataset, scale, seed)``; a service's ``study`` method
-    passes the dataset it serves.
+    per-(pair, repeat) runs at each K).
     """
-    if dataset is None:
-        dataset = load_dataset(config.dataset, config.scale, config.seed)
+    dataset = load_dataset(config.dataset, config.scale, config.seed)
     workload = generate_workload(
         dataset.graph,
         pair_count=config.pair_count,

@@ -94,6 +94,25 @@ class TestUpdateRoundTrip:
             # resident (they simply stop matching new-version keys).
             assert service.stats()["cache"]["size"] == hits_before
 
+    def test_an_updated_service_refuses_studies(self):
+        # Studies measure the suite dataset, which an update has left
+        # behind; measuring it silently would disagree with /v1 answers.
+        from repro.experiments.convergence import ConvergenceCriterion
+        from repro.experiments.runner import StudyConfig
+
+        config = StudyConfig(
+            dataset="lastfm", scale="tiny", seed=SEED,
+            pair_count=1, repeats=2, estimators=("mc",),
+            criterion=ConvergenceCriterion(k_start=250, k_step=250, k_max=250),
+        )
+        with ReliabilityService.from_dataset(
+            "lastfm", "tiny", seed=SEED
+        ) as service:
+            assert set(service.study(config).results) == {"mc"}
+            service.update(UpdateRequest(set_edges=((0, 1, 0.5),)))
+            with pytest.raises(InvalidQueryError, match="graph was updated"):
+                service.study(config)
+
 
 class TestEstimatorMaintenance:
     def test_modes_reported_per_estimator(self):

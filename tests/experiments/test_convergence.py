@@ -57,9 +57,15 @@ class TestCriterion:
         assert ConvergenceCriterion().dispersion_threshold == 1e-3
 
 
+ESTIMATOR_CLASSES = pytest.mark.parametrize(
+    "estimator_class", [StubEstimator, MonteCarloEstimator], ids=["stub", "mc"]
+)
+
+
 class TestEvaluateAtK:
-    def test_point_fields(self, graph, workload):
-        estimator = StubEstimator(graph)
+    @ESTIMATOR_CLASSES
+    def test_point_fields(self, graph, workload, estimator_class):
+        estimator = estimator_class(graph)
         point = evaluate_at_k(estimator, workload, samples=100, repeats=6, seed=0)
         assert point.samples == 100
         assert 0.0 <= point.average_reliability <= 1.0
@@ -73,10 +79,12 @@ class TestEvaluateAtK:
         point = evaluate_at_k(estimator, workload, samples=100, repeats=1, seed=0)
         assert point.average_variance == 0.0
 
-    def test_reproducible(self, graph, workload):
-        a = evaluate_at_k(StubEstimator(graph), workload, 100, repeats=4, seed=3)
-        b = evaluate_at_k(StubEstimator(graph), workload, 100, repeats=4, seed=3)
+    @ESTIMATOR_CLASSES
+    def test_reproducible(self, graph, workload, estimator_class):
+        a = evaluate_at_k(estimator_class(graph), workload, 100, repeats=4, seed=3)
+        b = evaluate_at_k(estimator_class(graph), workload, 100, repeats=4, seed=3)
         np.testing.assert_array_equal(a.per_pair_means, b.per_pair_means)
+        assert a.average_variance == b.average_variance
 
     def test_milliseconds_per_sample(self, graph, workload):
         point = evaluate_at_k(StubEstimator(graph), workload, 200, repeats=2, seed=0)
@@ -169,22 +177,6 @@ SAMPLED_WORKLOAD = QueryWorkload(
 
 class TestProtocol:
     """The per-(pair, repeat) substream protocol against real estimators."""
-
-    def test_grid_point_matches_protocol_shape(self, sampled_graph):
-        mc = MonteCarloEstimator(sampled_graph, seed=0)
-        point = evaluate_at_k(
-            mc, SAMPLED_WORKLOAD, samples=200, repeats=3, seed=0
-        )
-        assert point.per_pair_means.shape == (3,)
-        assert 0.0 <= point.average_reliability <= 1.0
-        assert point.samples == 200
-
-    def test_grid_point_is_deterministic(self, sampled_graph):
-        mc = MonteCarloEstimator(sampled_graph, seed=0)
-        a = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=2, seed=1)
-        b = evaluate_at_k(mc, SAMPLED_WORKLOAD, 150, repeats=2, seed=1)
-        np.testing.assert_array_equal(a.per_pair_means, b.per_pair_means)
-        assert a.average_variance == b.average_variance
 
     def test_every_cell_is_one_run_on_its_own_substream(self, sampled_graph):
         samples, repeats, seed = 120, 3, 4

@@ -1,6 +1,5 @@
 """Integration tests for the study runner (small but end-to-end)."""
 
-import numpy as np
 import pytest
 
 from repro.datasets.suite import load_dataset
@@ -81,19 +80,6 @@ class TestStudyResult:
 
 
 class TestStudyInputs:
-    def test_a_given_dataset_equals_the_loaded_one(self, study_result):
-        config = study_result.config
-        given = run_study(
-            config,
-            dataset=load_dataset(config.dataset, config.scale, config.seed),
-        )
-        assert given.workload.pairs == study_result.workload.pairs
-        for key, result in study_result.results.items():
-            for point, again in zip(result.points, given.results[key].points):
-                np.testing.assert_array_equal(
-                    point.per_pair_means, again.per_pair_means
-                )
-
     def test_estimators_are_fresh_and_carry_the_study_options(self):
         config = StudyConfig(dataset="lastfm", scale="tiny")
         graph = load_dataset("lastfm", "tiny", 0).graph
