@@ -1,7 +1,7 @@
 """``repro.analysis`` — the AST-based invariant analyzer behind
 ``repro lint``.
 
-Three rule families keep the reproduction's contracts honest at review
+Two rule families keep the reproduction's contracts honest at review
 time instead of at test time:
 
 * determinism (``D101``-``D103``): no global-state RNG, no wall-clock
@@ -9,10 +9,7 @@ time instead of at test time:
   result-bearing folds;
 * lock discipline (``L201``-``L203``): ``# guarded-by:`` annotated
   attributes are only written under their lock, acquisitions respect
-  the declared ``# lock-order:``, and locked writes are annotated;
-* wire contract (``W301``-``W303``): no request type bypasses the one
-  strict ``from_dict``, and the one endpoint table / service methods /
-  written-out routes / ``docs/api.md`` agree.
+  the declared ``# lock-order:``, and locked writes are annotated.
 
 See ``docs/analysis.md`` for the catalog, the annotation grammar, and
 the suppression syntax (``# lint: ok[RULE] reason``).
@@ -24,7 +21,6 @@ from .runner import (
     analyze_files,
     analyze_repo,
     find_repo_root,
-    wire_findings,
 )
 
 __all__ = [
@@ -33,5 +29,4 @@ __all__ = [
     "analyze_files",
     "analyze_repo",
     "find_repo_root",
-    "wire_findings",
 ]

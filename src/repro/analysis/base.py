@@ -2,9 +2,8 @@
 
 The analyzer is a handful of AST passes over the source tree, each
 enforcing one invariant the test suite can only probe dynamically:
-determinism of results, lock discipline around shared state, and
-wire-contract agreement between the facade, the HTTP layer, and the
-docs.  This module holds what every rule family needs:
+determinism of results and lock discipline around shared state.  This
+module holds what every rule family needs:
 
 * :class:`Finding` — one reported violation, with a stable sort order.
 * :class:`SourceFile` — a parsed module plus its comment-derived

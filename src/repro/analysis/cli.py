@@ -128,8 +128,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "static invariant analyzer: determinism (D1xx), lock discipline "
-            "(L2xx), wire contract (W3xx)"
+            "static invariant analyzer: determinism (D1xx) and lock "
+            "discipline (L2xx)"
         ),
     )
     add_arguments(parser)

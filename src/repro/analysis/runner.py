@@ -1,8 +1,7 @@
 """Drives the rule families over files and over the repository.
 
-Per-file rules (determinism, locks) run on any ``.py`` file handed to
-them; the wire-contract rules are repo-level: they read the one wire
-table in ``api/types.py`` and check the files derived from it.
+Every rule (determinism, locks) is per-file: it runs on any ``.py`` file
+handed to it, and a repository run hands it the ``src/repro`` tree.
 """
 
 from __future__ import annotations
@@ -10,17 +9,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional
 
-from . import determinism, locks, wire
+from . import determinism, locks
 from .base import Finding, SourceFile
 
 #: Directories never scanned, wherever they appear.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
-
-#: The wire table and what is checked against it, relative to the repo root.
-WIRE_SERVICE = Path("src/repro/api/service.py")
-WIRE_TYPES = Path("src/repro/api/types.py")
-WIRE_SERVER = Path("src/repro/serve/server.py")
-WIRE_DOCS = Path("docs/api.md")
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -60,26 +53,6 @@ def analyze_files(paths: Iterable[Path]) -> List[Finding]:
     return sorted(findings)
 
 
-def wire_findings(root: Path) -> List[Finding]:
-    """Run the wire-contract checks against the repo's canonical files."""
-
-    findings: List[Finding] = []
-    types_path = root / WIRE_TYPES
-    service_path = root / WIRE_SERVICE
-    server_path = root / WIRE_SERVER
-    docs_path = root / WIRE_DOCS
-    if not types_path.is_file():
-        return findings
-    findings.extend(wire.check_request_types(types_path))
-    if service_path.is_file() and server_path.is_file():
-        findings.extend(
-            wire.check_endpoint_routes(types_path, service_path, server_path)
-        )
-    if docs_path.is_file():
-        findings.extend(wire.check_docs_table(types_path, docs_path))
-    return sorted(findings)
-
-
 def find_repo_root(start: Optional[Path] = None) -> Optional[Path]:
     """Nearest ancestor holding ``src/repro`` (falls back to the package)."""
 
@@ -100,11 +73,10 @@ def find_repo_root(start: Optional[Path] = None) -> Optional[Path]:
 def analyze_repo(
     root: Path, files: Optional[Iterable[Path]] = None
 ) -> List[Finding]:
-    """Full analysis: per-file rules over ``src/repro`` plus wire checks.
+    """Full analysis: the per-file rules over ``src/repro``.
 
-    ``files`` restricts the per-file pass (the ``--changed`` mode); the
-    wire checks always run against the canonical files because a
-    change to any one of them can break the agreement.
+    ``files`` restricts the pass to those of them under ``src/repro``
+    (the ``--changed`` mode).
     """
 
     if files is None:
@@ -116,9 +88,7 @@ def analyze_repo(
             for path in files
             if path.suffix == ".py" and _is_relative_to(path.resolve(), src_root)
         ]
-    findings = analyze_files(scan)
-    findings.extend(wire_findings(root))
-    return sorted(findings)
+    return analyze_files(scan)
 
 
 def _is_relative_to(path: Path, root: Path) -> bool:

@@ -635,19 +635,16 @@ class ReliabilityService:
         )
 
     @classmethod
-    def check_batch_request(
-        cls, request: BatchRequest, *, persistent: bool = False
-    ) -> None:
+    def check_batch_request(cls, request: BatchRequest) -> None:
         """Every rule of a batch request that needs no graph.
 
         The one statement of these rules, for every transport:
         :meth:`estimate_batch` applies them to each request, and an
         adapter may call this before any dataset is loaded to fail fast
-        (``repro batch`` does).  ``persistent`` says whether the
-        answering service persists results.  ``method="auto"`` has no
-        batch path until the router resolves it, so the path-keyed rules
-        treat it as engine-capable; ``estimate_batch`` checks again
-        against the routed method.
+        (``repro batch`` does).  ``method="auto"`` has no batch path
+        until the router resolves it, so the path-keyed rule treats it
+        as engine-capable; ``estimate_batch`` checks again against the
+        routed method.
         """
         engine_backed = (
             request.method == AUTO_METHOD
@@ -655,17 +652,6 @@ class ReliabilityService:
         )
         for name in ("samples", "max_hops"):
             cls._check_positive(getattr(request, name), name)
-        if request.sequential and request.method != "mc":
-            raise InvalidQueryError(
-                "sequential evaluation is the per-query engine oracle; "
-                "it applies only to method 'mc'"
-            )
-        if request.sequential and persistent:
-            raise InvalidQueryError(
-                "the sequential oracle bypasses the result cache by "
-                "design; this service persists results — submit the "
-                "shared-world sweep instead"
-            )
         if not engine_backed and (
             request.max_hops is not None
             or any(spec.max_hops is not None for spec in request.queries)
@@ -694,7 +680,7 @@ class ReliabilityService:
         request, decision = self._resolve_auto_batch(request)
         routing = None if decision is None else decision.to_dict()
         batch_path = self.batch_path_of(request.method)
-        self.check_batch_request(request, persistent=self.persistent)
+        self.check_batch_request(request)
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
@@ -705,15 +691,11 @@ class ReliabilityService:
             # the thread-safe result cache, and the determinism contract
             # makes the interleaving invisible in every estimate.
             self._record_queries(queries, seed)
-            # The sequential oracle sweeps in this thread by definition.
-            evaluator = None if request.sequential else self.evaluator
-            engine = self._engine(graph, seed=seed, pool=evaluator)
-            if request.sequential:
-                result, mode = engine.run_sequential(queries), "sequential"
-            else:
-                result = engine.run(queries)
-                mode = getattr(evaluator, "mode", "shared_worlds")
-            report = self._engine_report(mode, result, engine.chunk_size)
+            result = self._engine(graph, seed=seed, pool=self.evaluator).run(
+                queries
+            )
+            mode = getattr(self.evaluator, "mode", "shared_worlds")
+            report = self._engine_report(mode, result, self.chunk_size)
             rows = self._rows_from_result(result)
             # The engine reports one wall clock for the whole workload;
             # split it evenly — per-query attribution inside a shared
@@ -1092,15 +1074,9 @@ class ReliabilityService:
         The source's all-targets row of the engine's world stream at the
         request's seed, ranked: every reliability equals the
         ``/v1/batch`` estimate of ``(source, node, samples)`` at that
-        seed, bit for bit.  ``mc`` and ``bfs_sharing`` name that same
-        sweep, exactly as they do on ``/v1/batch``; the method is
-        validated and echoed.
+        seed, bit for bit.  BFS Sharing's index is a transposed chunk of
+        that same stream (paper §2.3), so no method is there to choose.
         """
-        if request.method not in ("bfs_sharing", "mc"):
-            raise UnknownEstimatorError(
-                f"unknown top-k method {request.method!r}; "
-                f"use 'bfs_sharing' or 'mc'"
-            )
         self._check_node(request.source, "source")
         self._check_positive(request.k, "k")
         self._check_positive(request.samples, "samples")
@@ -1120,7 +1096,6 @@ class ReliabilityService:
             source=request.source,
             k=request.k,
             samples=request.samples,
-            method=request.method,
             seed=seed,
             ranking=tuple(ranking),
         )

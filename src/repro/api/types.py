@@ -352,7 +352,6 @@ class BatchRequest(Wire, what="a batch request"):
     samples: int = 1_000
     seed: Optional[int] = None
     max_hops: Optional[int] = None
-    sequential: bool = False
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,6 @@ class TopKRequest(Wire, what="a topk request"):
     source: int
     k: int = 10
     samples: int = 500
-    method: str = "bfs_sharing"
     seed: Optional[int] = None
 
 
@@ -655,7 +653,6 @@ class TopKResponse(Wire):
     source: int
     k: int
     samples: int
-    method: str
     seed: int
     ranking: Tuple[Tuple[int, float], ...] = field(
         metadata={"write": _ranking_rows}
@@ -722,10 +719,10 @@ class Endpoint:
         return "/v1/" + self.name.replace("_", "/")
 
 
-#: The endpoint surface, stated once.  ``ReliabilityService.ENDPOINTS``,
-#: the HTTP routes of ``serve/server.py`` and the W301-W303 lint facts
-#: are all read from here (and ``docs/api.md`` is checked against it),
-#: so a new endpoint is one row plus its service method.
+#: The endpoint surface, stated once.  ``ReliabilityService.ENDPOINTS``
+#: and the HTTP routes of ``serve/server.py`` are read from here (and
+#: ``docs/api.md`` is checked against it), so a new endpoint is one row
+#: plus its service method.
 ENDPOINT_TABLE: Tuple[Endpoint, ...] = (
     Endpoint("estimate", ("POST",), "estimate", EstimateRequest, EstimateResponse),
     Endpoint("batch", ("POST",), "estimate_batch", BatchRequest, BatchResponse),

@@ -147,10 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "sidecar with zero world evaluations, even across processes",
     )
     batch.add_argument(
-        "--sequential", action="store_true",
-        help="per-query loop over the same world stream (baseline/oracle)",
-    )
-    batch.add_argument(
         "--output", default="-",
         help="write the JSON report here instead of stdout",
     )
@@ -229,9 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--source", type=int, required=True)
     topk.add_argument("-k", type=int, default=10)
     topk.add_argument("--samples", "-K", type=int, default=500)
-    topk.add_argument(
-        "--method", choices=["bfs_sharing", "mc"], default="bfs_sharing"
-    )
 
     bounds = commands.add_parser(
         "bounds", help="polynomial-time reliability bracket"
@@ -264,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="static invariant analyzer (determinism, locks, wire contract)",
+        help="static invariant analyzer (determinism, locks)",
     )
     from repro.analysis.cli import add_arguments as _add_lint_arguments
 
@@ -408,16 +401,13 @@ def _command_batch(args: argparse.Namespace) -> int:
         method=args.method,
         samples=args.samples,
         max_hops=args.max_hops,
-        sequential=args.sequential,
     )
     # The service states every request rule, once and in field terms;
     # checking the graph-free ones here just fails before the dataset
     # loads.  The one rule of this adapter's own is about a flag that is
     # no request field.
     try:
-        ReliabilityService.check_batch_request(
-            request, persistent=args.cache_dir is not None
-        )
+        ReliabilityService.check_batch_request(request)
     except ReliabilityError as error:
         raise SystemExit(f"repro batch: {error}") from None
     if (
@@ -556,7 +546,6 @@ def _command_topk(args: argparse.Namespace) -> int:
                 source=args.source,
                 k=args.k,
                 samples=args.samples,
-                method=args.method,
             )
         )
     except ReliabilityError as error:
@@ -570,7 +559,7 @@ def _command_topk(args: argparse.Namespace) -> int:
     print(
         format_table(
             f"Top-{args.k} reliable targets from node {args.source} "
-            f"({service.dataset.title}, {args.method}, K={args.samples})",
+            f"({service.dataset.title}, K={args.samples})",
             ["rank", "node", "reliability"],
             rows,
         )

@@ -41,7 +41,7 @@ from repro.core.estimators.base import (
 )
 from repro.core.graph import UncertainGraph
 from repro.util import bitset
-from repro.util.rng import SeedLike, ensure_generator
+from repro.util.rng import SeedLike, ensure_generator, stable_substream
 from repro.util.validation import check_positive
 
 DEFAULT_CAPACITY = 1500  # the paper's "safe bound" L on pre-sampled worlds
@@ -144,7 +144,10 @@ class BFSSharingIndex:
     """The offline part: ``capacity`` pre-sampled worlds as edge bit-vectors.
 
     Index size is ``O(K m)`` bits — linear in the sample budget, unlike
-    ProbTree (paper §3.7, Fig. 13b).
+    ProbTree (paper §3.7, Fig. 13b).  The worlds are drawn a whole
+    64-world word at a time and the bits past ``capacity`` cleared, so a
+    larger index from the same generator state extends this one: its
+    first ``capacity`` worlds are these.
     """
 
     def __init__(
@@ -155,9 +158,10 @@ class BFSSharingIndex:
     ) -> None:
         self.graph = graph
         self.capacity = check_positive(capacity, "capacity")
+        words = bitset.packed_words(self.capacity)
         self.edge_bits = bitset.sample_bit_matrix(
-            graph.probs, self.capacity, ensure_generator(rng)
-        )
+            graph.probs, words * bitset.WORD_BITS, ensure_generator(rng)
+        ) & bitset.prefix_mask(self.capacity, words)
 
     def refresh(self, rng: SeedLike = None) -> None:
         """Re-sample all worlds.
@@ -224,6 +228,7 @@ class BFSSharingEstimator(Estimator):
             The experiment runner passes per-repeat RNGs and enables this.
         """
         super().__init__(graph, seed=seed)
+        self._seed = seed  # roots the offline worlds, see prepare()
         self.capacity = check_positive(capacity, "capacity")
         self.refresh_per_query = refresh_per_query
         self._index: Optional[BFSSharingIndex] = None
@@ -246,8 +251,20 @@ class BFSSharingEstimator(Estimator):
         return self._index is not None
 
     def prepare(self) -> None:
-        """Build the offline index (O(K m) sampling, paper Fig. 13a)."""
-        self._index = BFSSharingIndex(self.graph, self.capacity, self._rng)
+        """Build the offline index (O(K m) sampling, paper Fig. 13a).
+
+        The worlds come from a fresh substream of (estimator seed, graph
+        version), never from the estimator's running generator: every
+        per-query answer is a function of the seed, the graph version and
+        the query alone.  Neither an earlier capacity growth (the index
+        extends the same worlds) nor the order of past requests and
+        updates can move it.
+        """
+        if isinstance(self._seed, np.random.Generator):
+            rng = self._rng  # a caller's generator has no stable identity
+        else:
+            rng = stable_substream(self._seed, self.graph.version)
+        self._index = BFSSharingIndex(self.graph, self.capacity, rng)
 
     def attach_index(self, index: BFSSharingIndex) -> None:
         """Use an externally built/loaded index (e.g. from disk)."""

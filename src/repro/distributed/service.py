@@ -3,8 +3,8 @@
 A drop-in :class:`~repro.api.service.ReliabilityService` whose
 engine-backed batches sweep their pending worlds on remote shard
 workers instead of in the local chunk loop.  Everything else — estimate,
-warm, re-warm, update, topk, bounds, the sequential oracle, non-engine
-batch methods — runs locally, unchanged, which is what makes ``repro
+warm, re-warm, update, topk, bounds, non-engine batch methods — runs
+locally, unchanged, which is what makes ``repro
 serve --coordinator`` answer the exact ``/v1`` surface a plain server
 does.
 

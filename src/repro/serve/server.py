@@ -47,8 +47,11 @@ between the CLI and the server without changing a parser.  Failures are
 structured: every :class:`~repro.api.errors.ReliabilityError` becomes
 ``{"error": {"type": ..., "message": ...}}`` with its mapped status
 (400 for the malformed-request family, 413 for oversized bodies),
-unknown paths 404, wrong verbs 405, and unexpected exceptions a minimal
-500 (details stay server-side).
+unknown paths 404, wrong verbs (``PUT``, ``DELETE`` and ``PATCH``
+included) 405 with an ``Allow`` header, and unexpected exceptions a
+minimal 500 (details stay server-side).  A 404 or 405 leaves any request
+body unread, so it closes the connection rather than let that body be
+read as the next request.
 
 ``/v1/update`` publishes a new graph *version* (see
 :meth:`~repro.api.service.ReliabilityService.update`): cache keys embed
@@ -82,6 +85,7 @@ import signal
 import threading
 import time
 import traceback
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 from urllib.parse import parse_qs
@@ -218,14 +222,30 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
         self._serve("POST")
 
+    # No route takes these verbs; they get the structured 404 / 405.
+    def do_PUT(self) -> None:  # noqa: N802 (stdlib handler naming)
+        self._serve("PUT")
+
+    def do_DELETE(self) -> None:  # noqa: N802 (stdlib handler naming)
+        self._serve("DELETE")
+
+    def do_PATCH(self) -> None:  # noqa: N802 (stdlib handler naming)
+        self._serve("PATCH")
+
     def _serve(self, verb: str) -> None:
         path = self.route_path
         endpoint = self._ROUTES.get(path)
-        if endpoint is None:
-            self._send_json(404, _error_body("not found", path))
-            return
-        if verb not in endpoint.verbs:
-            self._send_method_not_allowed(", ".join(endpoint.verbs))
+        if endpoint is None or verb not in endpoint.verbs:
+            # Refused before the body is read: an unread body would be
+            # parsed as the next request on a kept-alive connection.
+            if self.headers.get("Content-Length", "0").strip() != "0" or (
+                "Transfer-Encoding" in self.headers
+            ):
+                self.close_connection = True
+            if endpoint is None:
+                self._send_json(404, _error_body("not found", path))
+            else:
+                self._send_method_not_allowed(", ".join(endpoint.verbs))
             return
         try:
             # Only reading the request and the *service* call live inside
@@ -249,19 +269,23 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
 
         ``GET /v1/recommend`` with no parameters asks about the default
         query shape; ``?samples=10000&max_hops=3&memory_limited=true``
-        narrows it.  Each value is read as its field's annotation says
-        (booleans are ``true``/``false``/``1``/``0``, anything else an
-        integer) and the result goes through the same ``from_dict`` as
-        a POST body.
+        narrows it.  Each value of a request field is read as the
+        field's annotation says (booleans are ``true``/``false``/``1``/
+        ``0``, anything else an integer); any other key passes through
+        raw.  The result goes through the same ``from_dict`` as a POST
+        body, which names an unknown key as such.
         """
         if endpoint.request is None:
             return {}
         hints = get_type_hints(endpoint.request)
+        own = {spec.name for spec in fields(endpoint.request)}
         query = self.path.partition("?")[2].partition("#")[0]
         payload: Dict[str, Any] = {}
         for key, values in parse_qs(query, keep_blank_values=True).items():
             raw = values[-1]
-            if hints.get(key) is bool:
+            if key not in own:
+                payload[key] = raw
+            elif hints[key] is bool:
                 if raw.lower() not in ("true", "false", "1", "0"):
                     raise InvalidQueryError(
                         f"{key} must be true/false, got {raw!r}"

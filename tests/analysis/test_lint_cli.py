@@ -1,9 +1,8 @@
 """The analyzer as a gate: tree-clean, CLI contract, suppressions.
 
 ``test_full_tree_is_clean`` is the same check CI runs (`repro lint`
-exits 0): any regression against the determinism, lock-discipline, or
-wire-contract rules fails the suite locally before it fails the CI
-job.
+exits 0): any regression against the determinism or lock-discipline
+rules fails the suite locally before it fails the CI job.
 """
 
 import json

@@ -8,6 +8,12 @@ field or endpoint that is missing from the docs — or stale there — fails
 this test.  After changing a wire type, refresh the docs with::
 
     PYTHONPATH=src python tests/api/test_api_docs.py
+
+Beside the docs blocks, the live objects are checked for the two facts
+nothing renders: every row of the table names a ``ReliabilityService``
+method (a row without one is a route that can only answer 500), and
+every ``*Request`` type parses through the one strict
+``Wire.from_dict`` (an override could silently drop unknown keys).
 """
 
 import dataclasses
@@ -16,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import types
+from repro.api import ReliabilityService, types
 
 DOCS_PATH = Path(__file__).resolve().parents[2] / "docs" / "api.md"
 
@@ -26,6 +32,12 @@ WIRE_TYPES = [
     if isinstance(value, type)
     and issubclass(value, types.Wire)
     and value is not types.Wire
+]
+
+REQUEST_TYPES = [
+    value
+    for name, value in vars(types).items()
+    if isinstance(value, type) and name.endswith("Request")
 ]
 
 
@@ -94,6 +106,21 @@ def test_docs_block_matches_the_types_module(name):
     assert match is not None, f"docs/api.md has no <!-- {name} --> block"
     documented = match.group(0)[len(match.group(1)) : -len(match.group(2))]
     assert documented == BLOCKS[name]()
+
+
+@pytest.mark.parametrize(
+    "endpoint", types.ENDPOINT_TABLE, ids=lambda endpoint: endpoint.name
+)
+def test_every_row_names_a_service_method(endpoint):
+    assert callable(vars(ReliabilityService).get(endpoint.method))
+
+
+@pytest.mark.parametrize(
+    "request_type", REQUEST_TYPES, ids=lambda request_type: request_type.__name__
+)
+def test_every_request_type_parses_through_the_one_strict_reader(request_type):
+    assert issubclass(request_type, types.Wire)
+    assert "from_dict" not in vars(request_type)
 
 
 if __name__ == "__main__":

@@ -188,14 +188,6 @@ class TestEstimateBatch:
         assert response.engine.mode == "per_query_loop"
         assert response.estimates == [float(expected[0])]
 
-    def test_sequential_oracle_agrees_with_shared_worlds(self, service):
-        shared = service.estimate_batch(BatchRequest(queries=WORKLOAD))
-        sequential = service.estimate_batch(
-            BatchRequest(queries=WORKLOAD, sequential=True)
-        )
-        assert sequential.engine.mode == "sequential"
-        assert shared.estimates == sequential.estimates
-
     def test_out_of_range_query_names_its_position(self, service):
         with pytest.raises(
             InvalidQueryError, match="query 1: target 999 out of range"
@@ -213,15 +205,6 @@ class TestEstimateBatch:
                     queries=(QuerySpec(0, 5, 100, 2),), method="rhh"
                 )
             )
-
-    def test_sequential_on_persistent_service_rejected(self, tmp_path):
-        with ReliabilityService.from_dataset(
-            "lastfm", "tiny", seed=3, cache_dir=str(tmp_path)
-        ) as service:
-            with pytest.raises(InvalidQueryError, match="bypasses"):
-                service.estimate_batch(
-                    BatchRequest(queries=WORKLOAD, sequential=True)
-                )
 
     def test_request_seed_overrides_service_seed(self, service):
         engine = BatchEngine(service.graph, seed=11)
@@ -308,8 +291,7 @@ class TestOtherEndpoints:
             ]
             for seed, source in itertools.product((4, 21), (0, 7)):
                 request = TopKRequest(
-                    source=source, k=len(nodes), samples=200, seed=seed,
-                    method="mc",
+                    source=source, k=len(nodes), samples=200, seed=seed
                 )
                 ranking = service.topk(request).ranking
                 batch = service.estimate_batch(
@@ -328,20 +310,6 @@ class TestOtherEndpoints:
                 }
                 for other in reconfigured:
                     assert other.topk(request).ranking == ranking
-
-    def test_topk_methods_name_the_same_sweep(self, service):
-        rankings = [
-            service.topk(
-                TopKRequest(source=0, k=5, samples=150, method=method)
-            )
-            for method in ("mc", "bfs_sharing")
-        ]
-        assert rankings[0].ranking == rankings[1].ranking
-        assert [r.method for r in rankings] == ["mc", "bfs_sharing"]
-
-    def test_topk_unknown_method_rejected(self, service):
-        with pytest.raises(UnknownEstimatorError, match="top-k"):
-            service.topk(TopKRequest(source=0, method="rss"))
 
     def test_bounds_matches_direct_call(self, service):
         lower, upper = reliability_bounds(service.graph, 0, 5)

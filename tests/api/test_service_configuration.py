@@ -4,7 +4,10 @@
 (``ReliabilityService(chunk_size=, workers=)``, ``repro batch|warm|serve
 --chunk-size/--workers``); the sweep kernel is no served option at all.
 A `/v1` body carrying any of them is an unknown key, and a CLI run with
-the flags is the facade configured the same way.
+the flags is the facade configured the same way.  So are the two served
+options that selected nothing: `/v1/batch` ``sequential`` (the per-query
+loop the engine exists to beat) and `/v1/topk` ``method`` (both of its
+values named one sweep).
 """
 
 import json
@@ -26,6 +29,7 @@ BODIES = {
         "queries": QUERIES, "start": 0, "stop": 64, "seed": 1,
         "fingerprint": "ab",
     },
+    "/v1/topk": {"source": 0, "k": 3, "samples": 50},
 }
 
 
@@ -38,6 +42,8 @@ BODIES = {
         ("/v1/warm", "workers", 2),
         ("/v1/warm", "chunk_size", 64),
         ("/v1/shard/run", "kernels", "simd"),
+        ("/v1/batch", "sequential", True),
+        ("/v1/topk", "method", "mc"),
     ],
 )
 def test_removed_key_is_a_structured_400_naming_it(tiny_server, path, key, value):
@@ -109,16 +115,9 @@ def test_cli_warm_flags_configure_the_service(capsys, tmp_path):
     ]
 
 
-@pytest.mark.parametrize(
-    "request_",
-    [
-        BatchRequest(queries=(QuerySpec(0, 5, 300),), sequential=True),
-        BatchRequest(queries=(QuerySpec(0, 5, 100),), method="rhh"),
-    ],
-    ids=["sequential_oracle", "per_query_loop"],
-)
-def test_paths_without_a_pool_serve_on_a_multi_worker_service(request_):
+def test_the_per_query_loop_serves_on_a_multi_worker_service():
     """The worker count is the service's; no batch path refuses it."""
+    request_ = BatchRequest(queries=(QuerySpec(0, 5, 100),), method="rhh")
     answers = []
     for workers in (1, 2):
         with ReliabilityService.from_dataset(

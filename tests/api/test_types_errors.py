@@ -131,10 +131,6 @@ class TestRequestParsing:
         with pytest.raises(InvalidQueryError, match="'queries'"):
             BatchRequest.from_dict({"method": "mc"})
 
-    def test_batch_rejects_non_boolean_sequential(self):
-        with pytest.raises(InvalidQueryError, match="sequential"):
-            BatchRequest.from_dict({"queries": [[0, 1]], "sequential": 1})
-
     def test_batch_rejects_boolean_integers(self):
         # JSON true must not silently coerce to samples=1.
         with pytest.raises(InvalidQueryError, match="samples"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import (
     BatchRequest,
+    EstimateRequest,
     InvalidQueryError,
     ReliabilityService,
     UpdateRequest,
@@ -14,6 +15,7 @@ from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
 from repro.engine.pool import registered_pool
+from repro.util.rng import stable_substream
 
 SEED = 11
 
@@ -152,8 +154,9 @@ class TestEstimatorMaintenance:
 
     def test_every_estimator_answers_on_the_new_version(self):
         # Whatever survival mode each method picked, its post-update
-        # batch answers (the seed-keyed deterministic path) must match a
-        # same-method estimator built fresh on the successor graph.
+        # answers — the seed-keyed batch path and the per-query path on
+        # the service's query substream — must match a same-method
+        # estimator built fresh on the successor graph.
         methods = ("mc", "rhh", "rss", "lp", "prob_tree", "bfs_sharing")
         queries = [(0, 4, 300, None), (1, 3, 300, None)]
         with make_service() as service:
@@ -166,6 +169,31 @@ class TestEstimatorMaintenance:
                 a = served.estimate_batch(queries, seed=SEED)
                 b = fresh.estimate_batch(queries, seed=SEED)
                 assert [float(x) for x in a] == [float(x) for x in b], method
+                for source, target, samples, _ in queries:
+                    a, b = (
+                        estimator.estimate(
+                            source, target, samples,
+                            rng=stable_substream(SEED, source, target),
+                        )
+                        for estimator in (served, fresh)
+                    )
+                    assert a == b, (method, source, target)
+
+    def test_bfs_sharing_answers_survive_index_growth(self):
+        # A larger request grows the offline index; it extends the same
+        # worlds, so a smaller request answers as it did before.
+        def estimate(service, samples):
+            return service.estimate(
+                EstimateRequest(
+                    source=0, target=4, samples=samples, method="bfs_sharing"
+                )
+            ).estimate
+
+        with make_service() as grown, make_service() as fresh:
+            before = estimate(grown, 300)
+            estimate(grown, 2_000)
+            assert grown.estimator("bfs_sharing").capacity == 2_000
+            assert estimate(grown, 300) == before == estimate(fresh, 300)
 
 
 class TestPoolLifecycle:

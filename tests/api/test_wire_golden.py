@@ -10,7 +10,9 @@ document was re-recorded since: its reliabilities moved, not its shape,
 when top-k became a row of the engine's world stream.  So were three
 parser messages — ``batch_integer_kernels``, ``warm_unknown_key`` and
 ``shard_run_unknown_key`` — when ``chunk_size`` / ``workers`` /
-``kernels`` left the request bodies for service configuration.)
+``kernels`` left the request bodies for service configuration; and
+``topk`` and ``batch_integer_kernels`` once more when the top-k
+``method`` and the batch ``sequential`` fields were deleted.)
 
 The cases run in file order against one service: both recommends and the
 ``method="auto"`` batch come first (the router is still cold, so its
@@ -101,8 +103,6 @@ ERRORS = [
     ("estimate_integer_method", "POST", "/v1/estimate",
      {"source": 0, "target": 5, "method": 5}),
     ("batch_missing_queries", "POST", "/v1/batch", {"method": "mc"}),
-    ("batch_integer_sequential", "POST", "/v1/batch",
-     {"queries": OK_QUERIES, "sequential": 1}),
     ("batch_integer_kernels", "POST", "/v1/batch",
      {"queries": OK_QUERIES, "kernels": 5}),
     ("batch_boolean_samples", "POST", "/v1/batch",
@@ -243,7 +243,7 @@ QUERIES = (QuerySpec(0, 5, 200, None), QuerySpec(3, 9, None, 2))
 ROUND_TRIPS = [
     BatchRequest(
         queries=QUERIES, method="bfs_sharing", samples=150, seed=7,
-        max_hops=4, sequential=True,
+        max_hops=4,
     ),
     ShardRunRequest(
         queries=QUERIES, start=64, stop=192, seed=11,

@@ -172,13 +172,6 @@ class TestWireCompatibility:
         # No new dispatches happened for the replay.
         assert coordinator.coordinator.statistics()["batches"] == 1
 
-    def test_sequential_oracle_runs_locally(self, tier):
-        coordinator, _ = tier
-        request = BatchRequest(queries=WORKLOAD.queries, sequential=True)
-        response = coordinator.estimate_batch(request)
-        assert response.engine.mode == "sequential"
-        assert coordinator.coordinator.statistics()["batches"] == 0
-
     def test_single_estimates_run_locally(self, tier):
         coordinator, _ = tier
         with ReliabilityService.from_dataset(

@@ -8,6 +8,7 @@ A subprocess test drives the actual ``repro serve`` command against the
 actual ``repro batch`` CLI — the serving acceptance criterion.
 """
 
+import http.client
 import json
 import os
 import re
@@ -61,6 +62,21 @@ def post(server, path, payload, raw=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _connection(server):
+    return http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+
+
+def _exchange(connection, verb, path, body=None):
+    """One request on ``connection``: (response, decoded JSON payload)."""
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    headers = {} if data is None else {"Content-Type": "application/json"}
+    connection.request(verb, path, data, headers)
+    response = connection.getresponse()
+    return response, json.loads(response.read())
 
 
 BATCH_BODY = {"queries": [[0, 5, 200], [3, 9, 150], [0, 7, 100, 2]]}
@@ -342,6 +358,42 @@ class TestMethodRouting:
         assert status == 405
         assert payload["error"]["type"] == "MethodNotAllowed"
 
+    @pytest.mark.parametrize(
+        "path,status,kind",
+        [("/v1/stats", 405, "MethodNotAllowed"), ("/v1/nope", 404, "NotFound")],
+    )
+    def test_refused_body_does_not_desync_the_connection(
+        self, server, path, status, kind
+    ):
+        # The refused body is never read; left on a kept-alive socket it
+        # would be parsed as the start of the next request.
+        connection = _connection(server)
+        try:
+            response, payload = _exchange(
+                connection, "POST", path, {"queries": [[0, 5, 100]]}
+            )
+            assert (response.status, payload["error"]["type"]) == (status, kind)
+            assert response.getheader("Connection") == "close"
+            response, payload = _exchange(connection, "GET", "/v1/health")
+            assert (response.status, payload["status"]) == (200, "ok")
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("verb", ["PUT", "DELETE", "PATCH"])
+    def test_other_verbs_get_the_structured_405(self, server, verb):
+        connection = _connection(server)
+        try:
+            response, payload = _exchange(
+                connection, verb, "/v1/batch", {"queries": [[0, 5, 100]]}
+            )
+            assert response.status == 405
+            assert payload["error"]["type"] == "MethodNotAllowed"
+            assert response.getheader("Allow") == "POST"
+            response, payload = _exchange(connection, "GET", "/v1/health")
+            assert response.status == 200
+        finally:
+            connection.close()
+
 
 class TestOversizedBody:
     def test_oversized_body_gets_structured_413(self, server):
@@ -438,6 +490,13 @@ class TestQueryStringRouting:
         assert status == 404
         # The error names the path, not the query.
         assert payload["error"]["message"].endswith("/v1/nope")
+
+    def test_unknown_parameter_is_named_whatever_its_value(self, server):
+        # Only the request's own fields are typed; any other key reaches
+        # from_dict as sent, which names it.
+        status, payload = get(server, "/v1/recommend?fast=abc")
+        assert status == 400
+        assert "does not accept key(s) 'fast'" in payload["error"]["message"]
 
 
 class TestWildcardBindUrl:

@@ -1,10 +1,10 @@
 """HTTP coverage for ``POST /v1/topk`` and ``POST /v1/bounds``.
 
 Both endpoints existed in ``ReliabilityService.ENDPOINTS`` (and the
-CLI) since PR 4 but were never reachable over HTTP — the drift
-``repro lint``'s wire-contract rule (W302) now catches.  These tests
-pin the served behaviour: bit-identical agreement with the facade,
-strict unknown-key rejection, structured errors, and stats counting.
+CLI) since PR 4 but were never reachable over HTTP; routes are now read
+off ``ENDPOINT_TABLE``.  These tests pin the served behaviour:
+bit-identical agreement with the facade, strict unknown-key rejection,
+structured errors, and stats counting.
 """
 
 import json
@@ -74,12 +74,14 @@ class TestTopKEndpoint:
         assert payload["error"]["type"] == "InvalidQueryError"
         assert "sample" in payload["error"]["message"]
 
-    def test_unknown_method_is_structured_400(self, server):
+    def test_method_is_an_unknown_key(self, server):
+        # Every top-k ranking is one row of the engine's world stream.
         status, payload = post(
-            server, "/v1/topk", {"source": 0, "method": "probtree"}
+            server, "/v1/topk", {"source": 0, "method": "bfs_sharing"}
         )
         assert status == 400
-        assert payload["error"]["type"] == "UnknownEstimatorError"
+        assert payload["error"]["type"] == "InvalidQueryError"
+        assert "does not accept key(s) 'method'" in payload["error"]["message"]
 
     def test_get_is_405(self, server):
         status, payload = get(server, "/v1/topk")

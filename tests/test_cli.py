@@ -91,6 +91,13 @@ class TestTopK:
         assert "Top-3" in out
         assert "rank" in out
 
+    def test_method_flag_is_gone(self, capsys):
+        # Both of its values named the one sweep the ranking comes from.
+        with pytest.raises(SystemExit) as failure:
+            main(["topk", "--source", "0", "--method", "mc"])
+        assert failure.value.code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_bracket(self, capsys):
@@ -251,19 +258,13 @@ class TestBatch:
         assert report["query_count"] == 3
         assert report["results"][1]["samples"] == 1000  # CLI default K
 
-    def test_sequential_agrees_exactly(self, capsys, tmp_path):
-        path = self._write_queries(tmp_path, "0 5 300\n3 9 150\n")
-        args = ["batch", "--queries", path, "--dataset", "lastfm",
-                "--scale", "tiny", "--seed", "3"]
-        main(args)
-        shared = json.loads(capsys.readouterr().out)
-        main(args + ["--sequential"])
-        sequential = json.loads(capsys.readouterr().out)
-        assert shared["engine"]["mode"] == "shared_worlds"
-        assert sequential["engine"]["mode"] == "sequential"
-        assert [r["estimate"] for r in shared["results"]] == [
-            r["estimate"] for r in sequential["results"]
-        ]
+    def test_sequential_flag_is_gone(self, capsys, tmp_path):
+        # The per-query oracle is BatchEngine.run_sequential, in process.
+        path = self._write_queries(tmp_path, "0 5 100\n")
+        with pytest.raises(SystemExit) as failure:
+            main(["batch", "--queries", path, "--sequential"])
+        assert failure.value.code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fallback_method_loops_per_query(self, capsys, tmp_path):
         path = self._write_queries(tmp_path, "0 5 100\n")
@@ -424,12 +425,6 @@ class TestBatchFastPaths:
         assert warm["engine"]["worlds_sampled"] == 0
         assert warm["engine"]["cache"]["disk_hits"] == 2
 
-    def test_sequential_oracle_refuses_cache_dir(self, tmp_path):
-        path = self._write_queries(tmp_path, "0 5 100\n")
-        with pytest.raises(SystemExit) as failure:
-            self._run(path, "--sequential", "--cache-dir", str(tmp_path))
-        assert_rejected(failure, "sequential", "persists results")
-
     def test_prob_tree_accepts_cache_dir(self, capsys, tmp_path):
         path = self._write_queries(tmp_path, "0 5 200\n")
         cache_dir = str(tmp_path / "cache")
@@ -471,13 +466,6 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="'source' and 'target'"):
             main(["batch", "--queries", path, "--dataset", "lastfm",
                   "--scale", "tiny"])
-
-    def test_sequential_requires_mc(self, tmp_path):
-        path = self._write(tmp_path, "[[0, 5, 100]]")
-        with pytest.raises(SystemExit) as failure:
-            main(["batch", "--queries", path, "--dataset", "lastfm",
-                  "--scale", "tiny", "--method", "rhh", "--sequential"])
-        assert_rejected(failure, "sequential", "'mc'")
 
 
 class TestBatchFailurePaths:
