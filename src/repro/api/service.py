@@ -98,12 +98,7 @@ from repro.core.recommend import recommend_estimator
 from repro.core.registry import create_estimator as _registry_create
 from repro.core.registry import display_name, estimator_class
 from repro.engine.batch import DEFAULT_CHUNK_SIZE, BatchEngine, BatchResult
-from repro.engine.cache import (
-    DEFAULT_CACHE_CAPACITY,
-    ResultCache,
-    graph_fingerprint,
-    open_result_cache,
-)
+from repro.engine.cache import ResultCache, graph_fingerprint, open_result_cache
 from repro.engine.pool import close_shared_pools, registered_pool
 from repro.queries.top_k import top_k_reliable_targets
 from repro.routing import AdaptiveRouter, QueryTelemetry, RoutingDecision
@@ -184,7 +179,6 @@ class ReliabilityService:
         cache_dir: Optional[str] = None,
         chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         evaluator=None,
     ) -> None:
         if not isinstance(graph, UncertainGraph):
@@ -204,9 +198,9 @@ class ReliabilityService:
         self.workers = workers
         self.evaluator = evaluator
         self._cache: ResultCache = (
-            open_result_cache(self.cache_dir, capacity=cache_capacity)
+            open_result_cache(self.cache_dir)
             if self.cache_dir is not None
-            else ResultCache(cache_capacity)
+            else ResultCache()
         )
         #: method -> (estimator, its call lock).  Published copy-on-write:
         #: lookups read the attribute without locking; inserts (under the

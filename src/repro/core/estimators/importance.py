@@ -20,7 +20,7 @@ likelihood factor ``p_e / q_e`` by 1 and keeps weights numerically tame.
 
 Calibration worlds come from the batch engine's deterministic world stream
 (:meth:`repro.engine.batch.BatchEngine.world_masks`), so the cached counts
-are pure in ``(graph, calibration seed)`` and rebuild identically after a
+are pure in ``(graph, CALIBRATION_SEED)`` and rebuild identically after a
 live update repoints the estimator.
 
 The weighted mean ``(1/K) * sum_i w_i * I_i`` is exactly unbiased, but a
@@ -49,6 +49,11 @@ from repro.util.validation import check_positive
 #: calibration pass well under a single serving query's budget.
 DEFAULT_CALIBRATION_WORLDS = 192
 
+#: Root of the calibration world stream.  Fixed (not drawn from the
+#: estimator's rng) so that re-calibration after ``apply_update``
+#: reproduces exactly what a fresh construction would build.
+CALIBRATION_SEED = 0
+
 #: Default tilt strength: how far q moves from p toward alpha.
 DEFAULT_TILT = 0.5
 
@@ -75,7 +80,6 @@ class ImportanceSamplingEstimator(Estimator):
         *,
         calibration_worlds: int = DEFAULT_CALIBRATION_WORLDS,
         tilt: float = DEFAULT_TILT,
-        calibration_seed: int = 0,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(graph, seed=seed)
@@ -85,10 +89,6 @@ class ImportanceSamplingEstimator(Estimator):
         self.tilt = float(tilt)
         if not 0.0 <= self.tilt <= 1.0:
             raise ValueError(f"tilt must be in [0, 1], got {tilt}")
-        #: Root of the calibration world stream.  Fixed (not drawn from the
-        #: estimator's rng) so that re-calibration after ``apply_update``
-        #: reproduces exactly what a fresh construction would build.
-        self.calibration_seed = int(calibration_seed)
         self._sampler = ReachabilitySampler(graph)
         self._target_buffer = np.empty(1, dtype=np.int64)
         self._proposal: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -113,9 +113,9 @@ class ImportanceSamplingEstimator(Estimator):
     def prepare(self) -> None:
         """Run the calibration pass and derive the proposal distribution.
 
-        Pure in ``(graph content, calibration_worlds, tilt,
-        calibration_seed)`` — no state from previous calibrations or
-        queries leaks in, so a post-update rebuild equals a fresh build.
+        Pure in ``(graph content, calibration_worlds, tilt)`` — no state
+        from previous calibrations or queries leaks in, so a post-update
+        rebuild equals a fresh build.
         """
         graph = self.graph
         edge_count = graph.edge_count
@@ -127,7 +127,7 @@ class ImportanceSamplingEstimator(Estimator):
             # identical to what an engine run with this seed would sweep.
             from repro.engine.batch import BatchEngine
 
-            engine = BatchEngine(graph, seed=self.calibration_seed)
+            engine = BatchEngine(graph, seed=CALIBRATION_SEED)
             masks = engine.world_masks(0, self.calibration_worlds)
             counts = masks.sum(axis=0, dtype=np.int64)
             sources = graph.edge_sources

@@ -63,7 +63,7 @@ from repro.util.rng import SeedLike
 
 DEFAULT_WIDTH = 2  # the paper's lossless setting
 
-#: Default bound on cached lifted query graphs.  Lift keys are (bag,
+#: Bound on cached lifted query graphs.  Lift keys are (bag,
 #: bag) pairs, which real workloads reuse heavily (hot sources/targets
 #: share covering bags); a few dozen assembled graphs cover them while
 #: keeping the resident overhead far below the index itself.
@@ -557,7 +557,6 @@ class ProbTreeEstimator(Estimator):
         *,
         width: int = DEFAULT_WIDTH,
         estimator_factory: Optional[EstimatorFactory] = None,
-        lift_cache_capacity: int = DEFAULT_LIFT_CACHE_CAPACITY,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(graph, seed=seed)
@@ -565,12 +564,9 @@ class ProbTreeEstimator(Estimator):
         self.estimator_factory = estimator_factory or MonteCarloEstimator
         self._index: Optional[FWDProbTreeIndex] = None
         self._last_query_graph: Optional[UncertainGraph] = None
-        if lift_cache_capacity < 0:
-            raise ValueError(
-                f"lift_cache_capacity must be >= 0 (0 disables the "
-                f"cache), got {lift_cache_capacity}"
-            )
-        self.lift_cache_capacity = lift_cache_capacity
+        # Read here, not as a default argument, so tests can monkeypatch
+        # it (``0`` disables the cache: every insert is evicted at once).
+        self.lift_cache_capacity = DEFAULT_LIFT_CACHE_CAPACITY
         #: Bounded LRU of assembled lifted graphs keyed by
         #: :meth:`FWDProbTreeIndex.lift_key` — the assembled graph is a
         #: pure function of the (immutable) index and the key, so reuse
@@ -659,10 +655,9 @@ class ProbTreeEstimator(Estimator):
             return cached
         self.lift_cache_misses += 1
         assembled = self.index.lifted_graph(key)
-        if self.lift_cache_capacity > 0:
-            self._lift_cache[key] = assembled
-            while len(self._lift_cache) > self.lift_cache_capacity:
-                self._lift_cache.popitem(last=False)
+        self._lift_cache[key] = assembled
+        while len(self._lift_cache) > self.lift_cache_capacity:
+            self._lift_cache.popitem(last=False)
         return assembled
 
     def estimate_batch(
@@ -791,15 +786,6 @@ class ProbTreeEstimator(Estimator):
         ):
             total += self._last_query_graph.memory_bytes()
         return total
-
-    def lift_cache_statistics(self) -> Dict[str, int]:
-        """Counters for reports: size, capacity, hits, misses."""
-        return {
-            "size": len(self._lift_cache),
-            "capacity": self.lift_cache_capacity,
-            "hits": self.lift_cache_hits,
-            "misses": self.lift_cache_misses,
-        }
 
 
 __all__ = [

@@ -48,11 +48,12 @@ Write batching — two different knobs, one transaction discipline:
   multi-result write through it.
 * Disk-hit recency (the ``touched`` tick that orders the disk LRU) is
   *deferred*: hits accumulate in memory and flush every
-  ``touch_flush_every`` hits, on any write, on ``statistics()``, and on
-  ``close()`` — instead of paying one UPDATE+commit per hit.  Recency
-  may therefore lag the truth by at most ``touch_flush_every`` hits
-  (and another process sees it only after a flush), which can never
-  change a served value — only disk-LRU eviction order.
+  :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits, on any write, on
+  ``statistics()``, and on ``close()`` — instead of paying one
+  UPDATE+commit per hit.  Recency may therefore lag the truth by at most
+  :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits (and another process sees it
+  only after a flush), which can never change a served value — only
+  disk-LRU eviction order.
 """
 
 from __future__ import annotations
@@ -77,12 +78,14 @@ UNBOUNDED_HOPS = -1
 
 DEFAULT_CACHE_CAPACITY = 4096
 
-#: Default bound on sidecar rows; far above any benchmark workload, small
-#: enough that the file stays a few megabytes at worst.
+#: Bound on sidecar rows; far above any benchmark workload, small
+#: enough that the file stays a few megabytes at worst.  Read at
+#: construction, so tests may monkeypatch it.
 DEFAULT_DISK_CAPACITY = 65536
 
 #: How many deferred disk-hit recency updates accumulate before they are
 #: flushed in one transaction (see the module docstring's batching notes).
+#: Read at construction, so tests may monkeypatch it.
 DEFAULT_TOUCH_FLUSH_EVERY = 64
 
 #: The sidecar filename used when callers hand over a *directory*
@@ -279,16 +282,17 @@ class PersistentResultCache(ResultCache):
       rows, which age out via the disk LRU below.
 
     Eviction: rows carry a monotone ``touched`` tick, bumped on every put
-    and disk hit; once the table exceeds ``disk_capacity`` the
-    least-recently-touched rows are deleted.  A result served purely from
-    the memory layer does not refresh its disk recency — keeping the hot
-    path free of write traffic — so disk LRU order follows disk activity,
-    which is what governs warm starts.  Disk-hit ticks are *batched*:
-    they accumulate in memory and flush in one transaction every
-    ``touch_flush_every`` hits (and on every write, ``statistics()``, and
-    ``close()``), so a read-heavy serving workload pays one fsync per
-    batch instead of one per hit.  Pending ticks are always applied
-    before eviction runs, so deferral never evicts a just-hit row.
+    and disk hit; once the table exceeds :data:`DEFAULT_DISK_CAPACITY`
+    the least-recently-touched rows are deleted.  A result served purely
+    from the memory layer does not refresh its disk recency — keeping the
+    hot path free of write traffic — so disk LRU order follows disk
+    activity, which is what governs warm starts.  Disk-hit ticks are
+    *batched*: they accumulate in memory and flush in one transaction
+    every :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits (and on every write,
+    ``statistics()``, and ``close()``), so a read-heavy serving workload
+    pays one fsync per batch instead of one per hit.  Pending ticks are
+    always applied before eviction runs, so deferral never evicts a
+    just-hit row.
     Seeds are stored as TEXT because engine seeds span the full unsigned
     64-bit range, which SQLite's signed INTEGER cannot hold.
 
@@ -298,18 +302,12 @@ class PersistentResultCache(ResultCache):
     """
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        capacity: int = DEFAULT_CACHE_CAPACITY,
-        disk_capacity: int = DEFAULT_DISK_CAPACITY,
-        touch_flush_every: int = DEFAULT_TOUCH_FLUSH_EVERY,
+        self, path: Union[str, Path], capacity: int = DEFAULT_CACHE_CAPACITY
     ) -> None:
         super().__init__(capacity)
         self.path = Path(path)
-        self.disk_capacity = check_positive(disk_capacity, "disk_capacity")
-        self.touch_flush_every = check_positive(
-            touch_flush_every, "touch_flush_every"
-        )
+        self.disk_capacity = DEFAULT_DISK_CAPACITY
+        self.touch_flush_every = DEFAULT_TOUCH_FLUSH_EVERY
         self.disk_hits = 0  # guarded-by: _lock
         self._tick = 0  # guarded-by: _lock
         #: Deferred disk-hit recency updates: key -> latest tick.  A dict
@@ -574,22 +572,14 @@ class PersistentResultCache(ResultCache):
             return stats
 
 
-def open_result_cache(
-    cache_dir: Union[str, Path],
-    capacity: int = DEFAULT_CACHE_CAPACITY,
-    disk_capacity: int = DEFAULT_DISK_CAPACITY,
-) -> PersistentResultCache:
+def open_result_cache(cache_dir: Union[str, Path]) -> PersistentResultCache:
     """Open (or create) the persistent result cache under ``cache_dir``.
 
     The directory is created if missing; the sidecar inside it is
     :data:`RESULT_CACHE_FILENAME`.  One directory can serve any number of
     graphs and seeds — the full key disambiguates.
     """
-    return PersistentResultCache(
-        Path(cache_dir) / RESULT_CACHE_FILENAME,
-        capacity=capacity,
-        disk_capacity=disk_capacity,
-    )
+    return PersistentResultCache(Path(cache_dir) / RESULT_CACHE_FILENAME)
 
 
 __all__ = [

@@ -9,7 +9,8 @@ per query:
 1. **Measured scoring.**  For each candidate estimator the router reads
    its :class:`~repro.routing.telemetry.QueryTelemetry` bucket for the
    query's (graph fingerprint, K band, hop band).  A bucket with at least
-   ``min_observations`` observations is *warm* and gets the score
+   :data:`DEFAULT_MIN_OBSERVATIONS` observations is *warm* and gets the
+   score
 
    ``seconds_per_sample * (estimate_variance + variance_floor)``
 
@@ -20,11 +21,11 @@ per query:
    scoring as free.  Lowest score wins.
 
 2. **Exploration floor.**  Routing only to the current winner would never
-   re-measure the losers, so every ``round(1 / epsilon)``-th decision in
-   a bucket routes to the *least-observed* candidate instead.  The
-   schedule is a deterministic counter, not a coin flip: no RNG state,
-   reproducible decision sequences, and the determinism hammer in
-   ``tests/serve`` can replay it exactly.
+   re-measure the losers, so every ``round(1 / DEFAULT_EPSILON)``-th
+   decision in a bucket routes to the *least-observed* candidate
+   instead.  The schedule is a deterministic counter, not a coin flip:
+   no RNG state, reproducible decision sequences, and the determinism
+   hammer in ``tests/serve`` can replay it exactly.
 
 3. **Cold start.**  Until any candidate is warm the router defers to the
    paper's own decision tree (:func:`repro.core.recommend.
@@ -44,13 +45,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Optional, Sequence, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 from repro.core.recommend import (
     HOP_CAPABLE_ESTIMATORS,
     recommend_estimator,
 )
-from repro.core.registry import estimator_keys
 from repro.routing.telemetry import (
     BucketStats,
     QueryTelemetry,
@@ -120,32 +120,12 @@ class RoutingDecision:
 class AdaptiveRouter:
     """Scores candidates on measured telemetry; explores; falls back."""
 
-    def __init__(
-        self,
-        telemetry: QueryTelemetry,
-        *,
-        candidates: Sequence[str] = DEFAULT_CANDIDATES,
-        epsilon: float = DEFAULT_EPSILON,
-        min_observations: int = DEFAULT_MIN_OBSERVATIONS,
-    ) -> None:
-        known = set(estimator_keys())
-        unknown = [key for key in candidates if key not in known]
-        if unknown:
-            raise ValueError(
-                f"unknown candidate estimators: {', '.join(unknown)}"
-            )
-        if not candidates:
-            raise ValueError("a router needs at least one candidate")
-        if not 0.0 <= float(epsilon) <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if int(min_observations) < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
+    def __init__(self, telemetry: QueryTelemetry) -> None:
         self.telemetry = telemetry
-        self.candidates: Tuple[str, ...] = tuple(candidates)
-        self.epsilon = float(epsilon)
-        self.min_observations = int(min_observations)
+        # Read here, not as default arguments, so tests can monkeypatch.
+        self.candidates: Tuple[str, ...] = DEFAULT_CANDIDATES
+        self.epsilon = DEFAULT_EPSILON
+        self.min_observations = DEFAULT_MIN_OBSERVATIONS
         #: Decisions per bucket between exploration routes (0 = never).
         self._explore_interval = (
             round(1.0 / self.epsilon) if self.epsilon > 0.0 else 0

@@ -113,10 +113,9 @@ class BucketStats:
 class QueryTelemetry:
     """Bucketed per-estimator latency and dispersion accumulators."""
 
-    def __init__(self, *, capacity: int = DEFAULT_BUCKET_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
+    def __init__(self) -> None:
+        # Read here, not as a default argument, so tests can monkeypatch.
+        self.capacity = DEFAULT_BUCKET_CAPACITY
         self._lock = threading.Lock()
         #: key -> (latency-per-sample accumulator, estimate accumulator).
         self._buckets: Dict[  # guarded-by: _lock

@@ -16,13 +16,11 @@ from repro.serve.server import (
     DEFAULT_PORT,
     MAX_BODY_BYTES,
     MAX_BODY_ENV_VAR,
-    SHARD_RUN_DELAY_ENV_VAR,
     ReliabilityHTTPServer,
     ReliabilityRequestHandler,
     create_server,
     max_body_bytes,
     serve,
-    shard_run_delay,
 )
 
 __all__ = [
@@ -30,11 +28,9 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
     "MAX_BODY_ENV_VAR",
-    "SHARD_RUN_DELAY_ENV_VAR",
     "ReliabilityHTTPServer",
     "ReliabilityRequestHandler",
     "create_server",
     "max_body_bytes",
     "serve",
-    "shard_run_delay",
 ]

@@ -47,11 +47,13 @@ between the CLI and the server without changing a parser.  Failures are
 structured: every :class:`~repro.api.errors.ReliabilityError` becomes
 ``{"error": {"type": ..., "message": ...}}`` with its mapped status
 (400 for the malformed-request family, 413 for oversized bodies),
-unknown paths 404, wrong verbs (``PUT``, ``DELETE`` and ``PATCH``
-included) 405 with an ``Allow`` header, and unexpected exceptions a
-minimal 500 (details stay server-side).  A 404 or 405 leaves any request
-body unread, so it closes the connection rather than let that body be
-read as the next request.
+unknown paths 404, wrong verbs (any verb, ``HEAD`` and ``OPTIONS``
+included; a ``HEAD`` reply carries no body) 405 with an ``Allow``
+header, and unexpected exceptions a minimal 500 (details stay
+server-side).  Only a routed POST reads its body, and only one framed
+by ``Content-Length`` (a ``Transfer-Encoding`` body is a structured
+400); every other reply leaves the body unread, so it closes the
+connection rather than let that body be read as the next request.
 
 ``/v1/update`` publishes a new graph *version* (see
 :meth:`~repro.api.service.ReliabilityService.update`): cache keys embed
@@ -83,7 +85,6 @@ import json
 import os
 import signal
 import threading
-import time
 import traceback
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -108,29 +109,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Environment override for the body cap — deployments fronting the
 #: server with their own limits (or test rigs) tune it without a fork.
 MAX_BODY_ENV_VAR = "REPRO_SERVE_MAX_BODY"
-
-
-#: Seconds ``/v1/shard/run`` sleeps before evaluating — a fault-drill
-#: hook: the kill-a-worker-mid-request tests (and operators rehearsing
-#: failover) use it to widen the window in which a worker can vanish
-#: with a dispatch in flight.  Unset, malformed, or non-positive = 0.
-SHARD_RUN_DELAY_ENV_VAR = "REPRO_SHARD_RUN_DELAY"
-
-
-def shard_run_delay() -> float:
-    """The effective pre-evaluation delay of ``/v1/shard/run`` (seconds).
-
-    Read per request, like :func:`max_body_bytes`, so a drill can arm
-    and disarm it without restarting the worker.
-    """
-    raw = os.environ.get(SHARD_RUN_DELAY_ENV_VAR)
-    if raw is None:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        return 0.0
-    return value if value > 0 else 0.0
 
 
 def max_body_bytes() -> int:
@@ -216,32 +194,27 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
         path = self.path.partition("?")[0]
         return path.partition("#")[0]
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        self._serve("POST")
-
-    # No route takes these verbs; they get the structured 404 / 405.
-    def do_PUT(self) -> None:  # noqa: N802 (stdlib handler naming)
-        self._serve("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802 (stdlib handler naming)
-        self._serve("DELETE")
-
-    def do_PATCH(self) -> None:  # noqa: N802 (stdlib handler naming)
-        self._serve("PATCH")
+    def __getattr__(self, name: str) -> Callable[[], None]:
+        # The stdlib dispatches a request to ``do_<VERB>`` and answers an
+        # HTML 501 when there is none.  Every verb lands here instead, so
+        # the table alone decides between a route and a structured
+        # 404 / 405.
+        if name.startswith("do_"):
+            return lambda: self._serve(name[3:])
+        raise AttributeError(name)
 
     def _serve(self, verb: str) -> None:
         path = self.route_path
         endpoint = self._ROUTES.get(path)
-        if endpoint is None or verb not in endpoint.verbs:
-            # Refused before the body is read: an unread body would be
+        routed = endpoint is not None and verb in endpoint.verbs
+        if not (routed and verb == "POST") and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # Only a routed POST reads its body: one left unread would be
             # parsed as the next request on a kept-alive connection.
-            if self.headers.get("Content-Length", "0").strip() != "0" or (
-                "Transfer-Encoding" in self.headers
-            ):
-                self.close_connection = True
+            self.close_connection = True
+        if not routed:
             if endpoint is None:
                 self._send_json(404, _error_body("not found", path))
             else:
@@ -303,24 +276,18 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
     def _call(self, endpoint: Endpoint, payload: Any) -> Dict[str, Any]:
         """Parse, call the endpoint's service method, serialise.
 
-        Two routes carry transport-side behaviour the table cannot
-        state.  ``/v1/shard/run`` sleeps :func:`shard_run_delay` *before*
-        anything else, in the dispatch window a coordinator observes —
-        exactly where a fault drill wants the worker to be killable.
-        ``/v1/update`` starts the re-warm on a daemon thread *after* the
-        response is computed: the client gets its version transition
-        immediately, and the hottest logged keys are re-evaluated
-        against the successor concurrently with whatever traffic
-        follows (progress: the ``rewarm`` counters in ``/v1/stats``).
+        One route carries transport-side behaviour the table cannot
+        state: ``/v1/update`` starts the re-warm on a daemon thread
+        *after* the response is computed, so the client gets its version
+        transition immediately, and the hottest logged keys are
+        re-evaluated against the successor concurrently with whatever
+        traffic follows (progress: the ``rewarm`` counters in
+        ``/v1/stats``).
         """
         service = self.server.service
         method = getattr(service, endpoint.method)
         if endpoint.request is None:
             return method()
-        if endpoint.path == "/v1/shard/run":
-            delay = shard_run_delay()
-            if delay > 0:
-                time.sleep(delay)
         response = method(endpoint.request.from_dict(payload)).to_dict()
         if endpoint.path == "/v1/update":
             limit = getattr(self.server, "rewarm_top", DEFAULT_REWARM_TOP)
@@ -365,6 +332,14 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _read_json(self) -> Any:
+        if "Transfer-Encoding" in self.headers:
+            # Chunked framing is not decoded; the unread chunks would be
+            # parsed as the next request, so the connection closes too.
+            self.close_connection = True
+            raise InvalidQueryError(
+                "request bodies must be sent with a Content-Length header, "
+                "not Transfer-Encoding"
+            )
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
@@ -426,7 +401,8 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD reply is the headers alone
+            self.wfile.write(body)
 
     def _send_method_not_allowed(self, allowed: str) -> None:
         self._send_json(
@@ -514,11 +490,9 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
     "MAX_BODY_ENV_VAR",
-    "SHARD_RUN_DELAY_ENV_VAR",
     "ReliabilityHTTPServer",
     "ReliabilityRequestHandler",
     "create_server",
     "max_body_bytes",
     "serve",
-    "shard_run_delay",
 ]

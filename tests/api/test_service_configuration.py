@@ -7,7 +7,9 @@ A `/v1` body carrying any of them is an unknown key, and a CLI run with
 the flags is the facade configured the same way.  So are the two served
 options that selected nothing: `/v1/batch` ``sequential`` (the per-query
 loop the engine exists to beat) and `/v1/topk` ``method`` (both of its
-values named one sweep).
+values named one sweep).  Router tuning and result-cache sizing are not
+even service configuration: they are module constants, which
+``/v1/stats`` still echoes.
 """
 
 import json
@@ -18,6 +20,7 @@ import pytest
 
 from repro.api import BatchRequest, QuerySpec, ReliabilityService
 from repro.cli import main
+from repro.routing import DEFAULT_CANDIDATES
 
 QUERIES = [[0, 5, 300], [3, 9, 200]]
 
@@ -125,3 +128,15 @@ def test_the_per_query_loop_serves_on_a_multi_worker_service():
         ) as service:
             answers.append(service.estimate_batch(request_).estimates)
     assert answers[0] == answers[1]
+
+
+def test_stats_echo_the_fixed_router_and_cache_settings(tmp_path):
+    with ReliabilityService.from_dataset(
+        "lastfm", "tiny", seed=3, cache_dir=str(tmp_path)
+    ) as service:
+        stats = service.stats()
+    router = stats["routing"]["router"]
+    assert router["candidates"] == list(DEFAULT_CANDIDATES)
+    assert (router["epsilon"], router["min_observations"]) == (0.1, 5)
+    assert stats["cache"]["persistent"] is True
+    assert stats["cache"]["disk_capacity"] == 65536

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.estimators import prob_tree as prob_tree_module
 from repro.core.estimators.prob_tree import (
     ROOT_BAG,
     FWDProbTreeIndex,
@@ -261,9 +262,9 @@ class TestBatchFastPath:
 class TestLiftCache:
     """The estimator-level LRU of assembled lifted graphs (ROADMAP item)."""
 
-    def _estimator(self, seed=12, **options):
+    def _estimator(self, seed=12):
         graph = random_graph(seed, node_count=14, edge_probability=0.25)
-        estimator = ProbTreeEstimator(graph, seed=0, **options)
+        estimator = ProbTreeEstimator(graph, seed=0)
         estimator.prepare()
         return estimator
 
@@ -271,11 +272,10 @@ class TestLiftCache:
         estimator = self._estimator()
         rng = np.random.default_rng(0)
         estimator.estimate(0, 13, 50, rng=rng)
-        assert estimator.lift_cache_statistics()["misses"] == 1
+        assert estimator.lift_cache_misses == 1
         estimator.estimate(0, 13, 50, rng=rng)
-        stats = estimator.lift_cache_statistics()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
+        assert estimator.lift_cache_hits == 1
+        assert estimator.lift_cache_misses == 1
 
     def test_batch_path_lifts_each_key_once(self):
         estimator = self._estimator()
@@ -285,32 +285,32 @@ class TestLiftCache:
         distinct_keys = {
             index.lift_key(s, t) for s, t, *_ in queries
         }
-        stats = estimator.lift_cache_statistics()
-        assert stats["misses"] == len(distinct_keys)
+        assert estimator.lift_cache_misses == len(distinct_keys)
 
     def test_batch_then_per_query_reuses_assemblies(self):
         estimator = self._estimator()
         estimator.estimate_batch([(0, 13, 50)], seed=3)
-        misses = estimator.lift_cache_statistics()["misses"]
+        misses = estimator.lift_cache_misses
         estimator.estimate(0, 13, 50, rng=np.random.default_rng(0))
-        stats = estimator.lift_cache_statistics()
-        assert stats["misses"] == misses  # no re-assembly
-        assert stats["hits"] >= 1
+        assert estimator.lift_cache_misses == misses  # no re-assembly
+        assert estimator.lift_cache_hits >= 1
 
-    def test_cached_estimates_are_bit_identical_to_uncached(self):
+    def test_cached_estimates_are_bit_identical_to_uncached(self, monkeypatch):
         graph = random_graph(13, node_count=14, edge_probability=0.25)
         cached = ProbTreeEstimator(graph, seed=0)
-        uncached = ProbTreeEstimator(graph, seed=0, lift_cache_capacity=0)
+        monkeypatch.setattr(prob_tree_module, "DEFAULT_LIFT_CACHE_CAPACITY", 0)
+        uncached = ProbTreeEstimator(graph, seed=0)
         queries = [(0, 13, 200), (3, 9, 150), (0, 13, 200)]
         np.testing.assert_array_equal(
             cached.estimate_batch(queries, seed=5),
             uncached.estimate_batch(queries, seed=5),
         )
-        assert cached.lift_cache_statistics()["size"] > 0
-        assert uncached.lift_cache_statistics()["size"] == 0
+        assert len(cached._lift_cache) > 0
+        assert len(uncached._lift_cache) == 0
 
-    def test_capacity_bounds_the_cache(self):
-        estimator = self._estimator(lift_cache_capacity=2)
+    def test_capacity_bounds_the_cache(self, monkeypatch):
+        monkeypatch.setattr(prob_tree_module, "DEFAULT_LIFT_CACHE_CAPACITY", 2)
+        estimator = self._estimator()
         index = estimator.index
         keys = set()
         for s in range(estimator.graph.node_count):
@@ -320,10 +320,10 @@ class TestLiftCache:
         for key in keys:
             estimator.lifted_graph(key)
         assert len(estimator._lift_cache) <= 2
-        assert estimator.lift_cache_statistics()["size"] <= 2
 
-    def test_lru_eviction_order(self):
-        estimator = self._estimator(lift_cache_capacity=2)
+    def test_lru_eviction_order(self, monkeypatch):
+        monkeypatch.setattr(prob_tree_module, "DEFAULT_LIFT_CACHE_CAPACITY", 2)
+        estimator = self._estimator()
         index = estimator.index
         keys = []
         for s in range(estimator.graph.node_count):
@@ -348,14 +348,9 @@ class TestLiftCache:
     def test_prepare_clears_the_cache(self):
         estimator = self._estimator()
         estimator.estimate(0, 13, 20, rng=np.random.default_rng(0))
-        assert estimator.lift_cache_statistics()["size"] > 0
+        assert len(estimator._lift_cache) > 0
         estimator.prepare()
-        assert estimator.lift_cache_statistics()["size"] == 0
-
-    def test_negative_capacity_rejected(self):
-        graph = random_graph(14, node_count=8, edge_probability=0.3)
-        with pytest.raises(ValueError, match="lift_cache_capacity"):
-            ProbTreeEstimator(graph, lift_cache_capacity=-1)
+        assert len(estimator._lift_cache) == 0
 
     def test_cached_graph_is_the_same_object(self):
         # Reuse keeps the memoised fingerprint, so downstream result

@@ -7,13 +7,13 @@ request (a shard worker *is* one — it serves the reference document),
 normalising only ``engine.mode``, ``engine.workers``, and
 ``engine.seconds``.
 
-The hard part is the SIGKILL scenario: workers are started with
-``REPRO_SHARD_RUN_DELAY`` (a fault-injection sleep inside
-``/v1/shard/run``) so a batch is reliably in flight when one worker is
-killed with ``SIGKILL`` — no shutdown hooks, the socket just dies.  The
-coordinator must re-dispatch the dead worker's range and return a
-document bit-identical to the healthy run, with the casualty visible in
-``/v1/stats``.
+The hard part is the SIGKILL scenario: one worker is frozen with
+``SIGSTOP`` before the coordinated batch is sent, so its range is
+reliably in flight (the batch is checked to be still pending half a
+second later) when the worker is killed with ``SIGKILL`` — no shutdown
+hooks, the socket just dies.  The coordinator must re-dispatch the dead
+worker's range and return a document bit-identical to the healthy run,
+with the casualty visible in ``/v1/stats``.
 """
 
 import json
@@ -71,6 +71,7 @@ def spawn_serve(extra_args=(), extra_env=None):
 
 def terminate(process):
     if process.poll() is None:
+        process.send_signal(signal.SIGCONT)  # a stopped process ignores TERM
         process.terminate()
     try:
         process.wait(timeout=30)
@@ -160,12 +161,9 @@ class TestTwoProcessTier:
     def test_sigkilled_worker_mid_batch_is_bit_identical(self):
         processes = []
         try:
-            # The fault-injection sleep holds every /v1/shard/run open
-            # for half a second — a wide-open window to kill into.
-            delay = {"REPRO_SHARD_RUN_DELAY": "0.5"}
-            worker_a, url_a = spawn_serve(extra_env=delay)
+            worker_a, url_a = spawn_serve()
             processes.append(worker_a)
-            worker_b, url_b = spawn_serve(extra_env=delay)
+            worker_b, url_b = spawn_serve()
             processes.append(worker_b)
             shards = ",".join(
                 url.replace("http://", "") for url in (url_a, url_b)
@@ -176,9 +174,13 @@ class TestTwoProcessTier:
             )
             processes.append(coordinator)
 
-            # The delay only slows /v1/shard/run; worker B's /v1/batch
-            # answers at full speed and is the reference document.
+            # Worker B's own /v1/batch is the reference document.
             reference = http_post(url_b, "/v1/batch", BATCH_BODY)
+
+            # Freeze worker A: its kernel still accepts the coordinator's
+            # connection, but no reply can come until it is killed, so
+            # the dispatch to it is in flight however fast B answers.
+            os.kill(worker_a.pid, signal.SIGSTOP)
 
             outcome = {}
 
@@ -189,9 +191,10 @@ class TestTwoProcessTier:
 
             thread = threading.Thread(target=client)
             thread.start()
-            # Both workers are now inside their injected sleep; SIGKILL
-            # worker A mid-request — its socket dies with no goodbye.
-            threading.Event().wait(0.25)
+            thread.join(timeout=0.5)
+            assert thread.is_alive(), "batch returned past a stopped worker"
+            # SIGKILL worker A mid-request — its socket dies with no
+            # goodbye.
             os.kill(worker_a.pid, signal.SIGKILL)
             worker_a.wait(timeout=10)
             thread.join(timeout=120)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.graph import UncertainGraph
+from repro.engine import cache as cache_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import (
     RESULT_CACHE_FILENAME,
@@ -242,50 +243,44 @@ class TestConcurrentReaders:
 
 
 class TestDiskEviction:
-    def test_disk_capacity_bounds_the_table(self, cache_dir):
-        cache = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=4
-        )
+    def test_disk_capacity_bounds_the_table(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 4)
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         for target in range(10):
             cache.put(result_key("fp", 0, target, 100, 7), target / 10.0)
         assert cache._disk_size() <= 4
 
-    def test_replacing_puts_do_not_trigger_spurious_eviction(self, cache_dir):
+    def test_replacing_puts_do_not_trigger_spurious_eviction(
+        self, cache_dir, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 4)
         # The row bound overcounts REPLACEs; the resync on overflow must
         # recognise that the table never actually grew.
-        cache = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=4
-        )
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         key = result_key("fp", 0, 1, 100, 7)
         for round_number in range(20):
             cache.put(key, round_number / 20.0)
         assert cache._disk_size() == 1
 
-    def test_row_bound_survives_reopen(self, cache_dir):
-        first = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=8
-        )
+    def test_row_bound_survives_reopen(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 8)
+        first = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         for target in range(5):
             first.put(result_key("fp", 0, target, 100, 7), 0.5)
         first.close()
-        second = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=8
-        )
+        second = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         assert second._row_bound == 5
 
-    def test_least_recently_touched_rows_evicted_first(self, cache_dir):
-        cache = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=3
-        )
+    def test_least_recently_touched_rows_evicted_first(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 3)
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         keys = [result_key("fp", 0, t, 100, 7) for t in range(3)]
         for offset, key in enumerate(keys):
             cache.put(key, offset / 4.0)
         cache.close()
         # A *disk* read refreshes recency (memory-layer hits do not, by
         # design — the hot path stays write-free).
-        toucher = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=3
-        )
+        toucher = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         assert toucher.get(keys[0]) == 0.0  # disk hit bumps keys[0]
         toucher.put(result_key("fp", 0, 99, 100, 7), 0.99)  # evicts keys[1]
         toucher.close()
@@ -371,9 +366,7 @@ class TestBatchedTouches:
         writer.put_many((key, 0.5) for key in keys)
         writer.close()
 
-        reader = PersistentResultCache(
-            sidecar_of(cache_dir), touch_flush_every=64
-        )
+        reader = PersistentResultCache(sidecar_of(cache_dir))
         connection = counting(reader)
         for key in keys:
             assert reader.get(key) == 0.5  # all disk hits
@@ -384,42 +377,36 @@ class TestBatchedTouches:
         reader.close()  # the final flush happens here
         assert not reader._pending_touches
 
-    def test_touch_threshold_triggers_a_flush(self, cache_dir):
+    def test_touch_threshold_triggers_a_flush(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_TOUCH_FLUSH_EVERY", 3)
         writer = open_result_cache(cache_dir)
         keys = [result_key("fp", 0, target, 100, 7) for target in range(6)]
         writer.put_many((key, 0.25) for key in keys)
         writer.close()
 
-        reader = PersistentResultCache(
-            sidecar_of(cache_dir), touch_flush_every=3
-        )
+        reader = PersistentResultCache(sidecar_of(cache_dir))
         connection = counting(reader)
         for key in keys:
             assert reader.get(key) == 0.25
         assert connection.commits == 2  # 6 hits / threshold 3
         assert not reader._pending_touches
 
-    def test_deferred_touches_survive_close(self, cache_dir):
+    def test_deferred_touches_survive_close(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 3)
         # Recency written only at close must still order eviction in the
         # next process: the closed reader's disk hit keeps its row alive.
-        cache = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=3
-        )
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         keys = [result_key("fp", 0, target, 100, 7) for target in range(3)]
         for offset, key in enumerate(keys):
             cache.put(key, offset / 4.0)
         cache.close()
 
-        toucher = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=3
-        )
+        toucher = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         assert toucher.get(keys[0]) == 0.0  # deferred disk-hit tick
         toucher.close()  # tick flushed here, not at hit time
 
         # keys[0] is now the most recently touched row on disk.
-        evictor = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=64, disk_capacity=3
-        )
+        evictor = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         evictor.put(result_key("fp", 0, 99, 100, 7), 0.99)
         evictor.close()
         survivor = open_result_cache(cache_dir)
@@ -441,10 +428,9 @@ class TestBatchedTouches:
 class TestThreadSafety:
     """One sidecar, many handler threads — the serving layer's shape."""
 
-    def test_threaded_hammer_never_corrupts_or_disables(self, cache_dir):
-        cache = PersistentResultCache(
-            sidecar_of(cache_dir), capacity=32, touch_flush_every=5
-        )
+    def test_threaded_hammer_never_corrupts_or_disables(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_TOUCH_FLUSH_EVERY", 5)
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=32)
         keys = [result_key("fp", 0, target, 100, 7) for target in range(24)]
         errors = []
 

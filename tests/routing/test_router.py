@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.recommend import recommend_estimator
+from repro.core.registry import estimator_keys
 from repro.routing import (
     DEFAULT_CANDIDATES,
     AdaptiveRouter,
     QueryTelemetry,
 )
+from repro.routing import router as router_module
 
 
 def warm(telemetry, method, *, seconds, estimates, fingerprint="fp",
@@ -120,8 +122,9 @@ class TestExploration:
         ]
         assert explored.method == zero_counts[0]
 
-    def test_epsilon_zero_never_explores(self, telemetry):
-        router = AdaptiveRouter(telemetry, epsilon=0.0)
+    def test_epsilon_zero_never_explores(self, telemetry, monkeypatch):
+        monkeypatch.setattr(router_module, "DEFAULT_EPSILON", 0.0)
+        router = AdaptiveRouter(telemetry)
         warm(telemetry, "mc", seconds=0.1, estimates=[0.5] * 6)
         reasons = {
             router.route(fingerprint="fp", samples=1_000).reason
@@ -155,21 +158,9 @@ class TestEligibility:
 
 
 class TestConstruction:
-    def test_unknown_candidate_rejected(self, telemetry):
-        with pytest.raises(ValueError, match="unknown candidate"):
-            AdaptiveRouter(telemetry, candidates=("mc", "nope"))
-
-    def test_empty_candidates_rejected(self, telemetry):
-        with pytest.raises(ValueError, match="at least one"):
-            AdaptiveRouter(telemetry, candidates=())
-
-    def test_invalid_epsilon_rejected(self, telemetry):
-        with pytest.raises(ValueError, match="epsilon"):
-            AdaptiveRouter(telemetry, epsilon=1.5)
-
-    def test_invalid_min_observations_rejected(self, telemetry):
-        with pytest.raises(ValueError, match="min_observations"):
-            AdaptiveRouter(telemetry, min_observations=0)
+    def test_default_candidates_are_registered_estimators(self):
+        assert DEFAULT_CANDIDATES
+        assert set(DEFAULT_CANDIDATES) <= set(estimator_keys())
 
 
 class TestIntrospection:

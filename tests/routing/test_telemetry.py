@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.routing import telemetry as telemetry_module
 from repro.routing.telemetry import (
     QueryTelemetry,
     bucket_key,
@@ -89,8 +90,9 @@ class TestAccumulation:
         )
         assert stats.seconds_per_sample == pytest.approx(0.002)
 
-    def test_capacity_drops_new_buckets_not_old(self):
-        telemetry = QueryTelemetry(capacity=2)
+    def test_capacity_drops_new_buckets_not_old(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "DEFAULT_BUCKET_CAPACITY", 2)
+        telemetry = QueryTelemetry()
         for fingerprint in ("a", "b", "c"):
             telemetry.record(
                 "mc",
@@ -111,10 +113,6 @@ class TestAccumulation:
         snapshot = telemetry.snapshot()
         assert snapshot["buckets"] == 2
         assert snapshot["dropped_observations"] == 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            QueryTelemetry(capacity=0)
 
 
 class TestSnapshot:

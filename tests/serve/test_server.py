@@ -12,6 +12,7 @@ import http.client
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -379,20 +380,71 @@ class TestMethodRouting:
         finally:
             connection.close()
 
-    @pytest.mark.parametrize("verb", ["PUT", "DELETE", "PATCH"])
-    def test_other_verbs_get_the_structured_405(self, server, verb):
+    def test_unread_get_body_does_not_desync_the_connection(self, server):
+        # A routed GET never reads a body either.
         connection = _connection(server)
         try:
             response, payload = _exchange(
-                connection, verb, "/v1/batch", {"queries": [[0, 5, 100]]}
+                connection, "GET", "/v1/health", {"verbose": True}
             )
+            assert (response.status, payload["status"]) == (200, "ok")
+            assert response.getheader("Connection") == "close"
+            response, payload = _exchange(connection, "GET", "/v1/health")
+            assert (response.status, payload["status"]) == (200, "ok")
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("verb", ["PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"])
+    def test_other_verbs_get_the_structured_405(self, server, verb):
+        connection = _connection(server)
+        try:
+            if verb == "HEAD":
+                # No body either way: the connection stays alive, so a
+                # stray reply body would be read as the health reply.
+                connection.request(verb, "/v1/batch")
+                response = connection.getresponse()
+                assert response.read() == b""
+                assert response.getheader("Content-Type") == "application/json"
+            else:
+                response, payload = _exchange(
+                    connection, verb, "/v1/batch", {"queries": [[0, 5, 100]]}
+                )
+                assert payload["error"]["type"] == "MethodNotAllowed"
             assert response.status == 405
-            assert payload["error"]["type"] == "MethodNotAllowed"
             assert response.getheader("Allow") == "POST"
             response, payload = _exchange(connection, "GET", "/v1/health")
             assert response.status == 200
         finally:
             connection.close()
+
+    def test_chunked_body_is_refused_and_closes_the_connection(self, server):
+        # A chunked body is not decoded; left on the kept-alive socket,
+        # its chunk-size line would be parsed as the next request.
+        body = json.dumps(BATCH_BODY).encode("utf-8")
+        chunks = f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        headers = b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n"
+        post = b"POST /v1/batch HTTP/1.1\r\nHost: localhost\r\n" + headers + b"\r\n"
+        health = b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        reply = b""
+        address = ("127.0.0.1", server.server_address[1])
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(post + chunks + health)
+            try:
+                while True:
+                    data = sock.recv(1 << 16)
+                    if not data:
+                        break
+                    reply += data
+            except ConnectionResetError:  # the unread chunks reset it
+                pass
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        payload = json.loads(rest[:length])
+        assert payload["error"]["type"] == "InvalidQueryError"
+        assert "Content-Length" in payload["error"]["message"]
+        assert rest[length:] == b""  # nothing parsed from the chunks
 
 
 class TestOversizedBody:
