@@ -20,7 +20,6 @@ from repro.api.errors import (
     InvalidQueryError,
     PayloadTooLargeError,
     ReliabilityError,
-    ShardUnavailableError,
     UnknownEstimatorError,
 )
 from repro.api.service import (
@@ -59,7 +58,6 @@ __all__ = [
     "GraphLoadError",
     "PayloadTooLargeError",
     "FingerprintMismatchError",
-    "ShardUnavailableError",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_REWARM_TOP",
     "FAST_BATCH_PATHS",

@@ -73,18 +73,6 @@ class FingerprintMismatchError(ReliabilityError):
     http_status = 409
 
 
-class ShardUnavailableError(ReliabilityError):
-    """No healthy shard could complete a dispatched world range.
-
-    Raised by the coordinator when every configured shard has failed a
-    range (after per-shard retries) and local fallback is disabled.
-    Maps onto HTTP 503: the request is fine, the tier is not — retry
-    once workers are back.
-    """
-
-    http_status = 503
-
-
 __all__ = [
     "ReliabilityError",
     "UnknownEstimatorError",
@@ -92,5 +80,4 @@ __all__ = [
     "GraphLoadError",
     "PayloadTooLargeError",
     "FingerprintMismatchError",
-    "ShardUnavailableError",
 ]

@@ -141,11 +141,11 @@ class ReliabilityService:
         When given, results persist to the SQLite sidecar under this
         directory (see :mod:`repro.engine.cache`); a re-started service
         warm-starts from disk.  ``None`` keeps an in-memory LRU only.
-    chunk_size / workers:
-        How every served engine sweeps: worlds per streaming step, and
-        worker processes for runs over the served graph (``None`` reads
-        ``REPRO_ENGINE_WORKERS``).  Service configuration only — no
-        request carries them, and neither can move a bit.
+    workers:
+        Worker processes for engine runs over the served graph (``None``
+        reads ``REPRO_ENGINE_WORKERS``).  Service configuration only —
+        no request carries it, and it cannot move a bit.  Every served
+        engine streams :data:`DEFAULT_CHUNK_SIZE` worlds per step.
     evaluator:
         Where engine-backed ``/v1/batch`` runs sweep their pending
         worlds: any range evaluator (``BatchEngine(pool=...)``), e.g. a
@@ -177,7 +177,6 @@ class ReliabilityService:
         seed: int = 0,
         dataset=None,
         cache_dir: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         workers: Optional[int] = None,
         evaluator=None,
     ) -> None:
@@ -190,11 +189,7 @@ class ReliabilityService:
         self.seed = int(seed)
         self.dataset = dataset  # a suite Dataset, or None for raw graphs
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self._check_positive(chunk_size, "chunk_size")
         self._check_positive(workers, "workers")
-        self.chunk_size = (
-            DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        )
         self.workers = workers
         self.evaluator = evaluator
         self._cache: ResultCache = (
@@ -536,7 +531,7 @@ class ReliabilityService:
         return BatchEngine(
             graph,
             seed=seed,
-            chunk_size=self.chunk_size,
+            chunk_size=DEFAULT_CHUNK_SIZE,
             workers=self.workers if graph is self.graph else 1,
             pool=pool,
             cache=self._cache,
@@ -689,7 +684,7 @@ class ReliabilityService:
                 queries
             )
             mode = getattr(self.evaluator, "mode", "shared_worlds")
-            report = self._engine_report(mode, result, self.chunk_size)
+            report = self._engine_report(mode, result, DEFAULT_CHUNK_SIZE)
             rows = self._rows_from_result(result)
             # The engine reports one wall clock for the whole workload;
             # split it evenly — per-query attribution inside a shared
@@ -866,22 +861,17 @@ class ReliabilityService:
                 f"a shard range needs 0 <= start <= stop, "
                 f"got [{request.start}, {request.stop})"
             )
-        self._check_positive(request.chunk_size, "chunk_size")
         queries = self.resolve_queries(
             request.queries, request.samples, request.max_hops
         )
         # A private single-process engine over the snapshot this request
         # was fingerprint-checked against: range evaluation never touches
         # the shared cache or pool, so nothing is shared and no lock is
-        # needed.
+        # needed.  Its chunk size is the coordinator's partitioning grain.
         engine = BatchEngine(
             graph,
             seed=int(request.seed),
-            chunk_size=(
-                self.chunk_size
-                if request.chunk_size is None
-                else request.chunk_size
-            ),
+            chunk_size=DEFAULT_CHUNK_SIZE,
             workers=1,
             cache_capacity=1,
         )

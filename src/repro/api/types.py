@@ -427,9 +427,10 @@ class ShardRunRequest(Wire, what="a shard run request"):
     fingerprint rejects with a structured 409
     (:class:`~repro.api.errors.FingerprintMismatchError`).
 
-    ``chunk_size`` should match the coordinator's partitioning grain so
-    chunk boundaries (and hence the merged ``sweeps`` counter) line up
-    with a single-process run; hit counts are bit-identical regardless.
+    The worker sweeps at the served chunk size, the coordinator's
+    partitioning grain, so chunk boundaries (and hence the merged
+    ``sweeps`` counter) line up with a single-process run; hit counts
+    are bit-identical regardless.
     """
 
     queries: Tuple[QuerySpec, ...] = _queries()
@@ -439,7 +440,6 @@ class ShardRunRequest(Wire, what="a shard run request"):
     fingerprint: str = field(metadata={"read": _read_nonempty_string})
     samples: int = 1_000
     max_hops: Optional[int] = None
-    chunk_size: Optional[int] = None
 
 
 @dataclass(frozen=True)

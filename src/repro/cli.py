@@ -45,12 +45,7 @@ from repro.api import (
     WarmRequest,
     coerce_query_specs,
 )
-from repro.api.service import (
-    AUTO_METHOD,
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_REWARM_TOP,
-    FAST_BATCH_PATHS,
-)
+from repro.api.service import AUTO_METHOD, FAST_BATCH_PATHS
 from repro.api.types import ENDPOINT_TABLE
 from repro.core.registry import PAPER_ESTIMATORS, VARIANCE_SAMPLERS
 from repro.datasets.suite import DATASET_KEYS, SCALES, dataset_table
@@ -90,11 +85,6 @@ def _add_workload_arguments(
         "--max-hops", type=int, default=None,
         help="d-hop reliability (§2.9): bound every query that does not "
              "carry its own max_hops to this many edges",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help=f"service configuration: worlds materialised per streaming "
-             f"step (default: {DEFAULT_CHUNK_SIZE})",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -185,18 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "warm-starts from the sidecar",
     )
     serve_cmd.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="engine chunk size for served workloads",
-    )
-    serve_cmd.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for served workloads",
-    )
-    serve_cmd.add_argument(
-        "--rewarm-top", type=int, default=DEFAULT_REWARM_TOP,
-        help="after a POST /v1/update, re-warm this many of the hottest "
-             "logged query keys against the new graph version in the "
-             f"background; 0 disables (default: {DEFAULT_REWARM_TOP})",
     )
     serve_cmd.add_argument(
         "--coordinator", action="store_true",
@@ -302,11 +282,7 @@ def _open_service(
 
 def _engine_options(args: argparse.Namespace) -> dict:
     """The service configuration ``batch``, ``warm`` and ``serve`` take."""
-    return dict(
-        cache_dir=args.cache_dir,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-    )
+    return dict(cache_dir=args.cache_dir, workers=args.workers)
 
 
 def _parse_query_file(path: str) -> Tuple[QuerySpec, ...]:
@@ -461,11 +437,6 @@ def _command_warm(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.rewarm_top < 0:
-        raise SystemExit(
-            f"repro serve: --rewarm-top must be zero (disabled) or "
-            f"positive, got {args.rewarm_top}"
-        )
     if args.coordinator and not args.shards:
         raise SystemExit(
             "repro serve: --coordinator needs --shards "
@@ -520,7 +491,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         quiet=not args.verbose,
         ready_callback=announce,
-        rewarm_top=args.rewarm_top,
     )
     return 0
 

@@ -319,10 +319,16 @@ class BFSSharingEstimator(Estimator):
         if self.refresh_per_query and rng is not None:
             index.refresh(rng)
 
+        # The engine's frontier-bulk kernel: the least fixpoint is unique,
+        # so its node bits equal shared_reachability_fixpoint's bit for
+        # bit.  Imported here because core never imports the engine at
+        # module scope.
+        from repro.engine.kernels import shared_fixpoint_vectorized
+
         words = bitset.packed_words(samples)
         # Node reachability vectors I_v; allocated per query like the paper
         # (the O(Kn) online-only memory its corrected analysis points out).
-        node_bits, edges_probed = shared_reachability_fixpoint(
+        node_bits, edges_probed = shared_fixpoint_vectorized(
             self.graph, index.edge_bits[:, :words], source, samples
         )
         self._node_bits = node_bits

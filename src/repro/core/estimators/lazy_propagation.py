@@ -24,11 +24,17 @@ gives LP).
   per-pop Python cost dominates on dense graphs.
 * ``engine="array"`` (default) — a per-edge ``next_fire`` array; a whole BFS
   level's due-edges are found, fired, and rescheduled with a handful of
-  vectorised NumPy operations.  Same geometric schedule, orders of magnitude
-  faster in Python.  (In the C++ substrate of the paper the heap's
-  probe-skipping is the whole speedup; in a NumPy substrate, scanning a
-  frontier's edge block is a single vector op, so LP+'s advantage over MC is
-  structurally smaller here — see docs/estimators.md.)
+  vectorised NumPy operations.  Same geometric schedule.
+
+Neither engine wins everywhere.  Timed over 5 pairs at K = 1000 on a
+2-vCPU host (heap / array), the heap wins on the two low-reliability
+datasets — lastfm 30 / 210 ms, nethept 1.6 / 36.7 ms — and the array
+engine on the other three — as_topology 682 / 409 ms, dblp02
+3,161 / 713 ms, biomine 1,907 / 441 ms.  (In the C++ substrate of the
+paper the heap's probe-skipping is the whole speedup; in a NumPy
+substrate, scanning a frontier's edge block is a single vector op, so
+LP+'s advantage over MC is structurally smaller here — see
+docs/estimators.md.)
 
 Heap-engine details that keep the schedule exact: on early termination,
 still-due entries are drained and rescheduled before the counter advances

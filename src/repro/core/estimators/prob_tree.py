@@ -271,10 +271,6 @@ class FWDProbTreeIndex:
             bag_id = self.bags[bag_id].parent
         return chain
 
-    def _lift_chain(self, node: int) -> List[int]:
-        """Bag ids from the bag covering ``node`` up to the root (exclusive)."""
-        return self._chain_from_bag(self.bag_of_covered.get(node, ROOT_BAG))
-
     def lift_key(self, source: int, target: int) -> Tuple[int, int]:
         """The (covering bag of ``source``, covering bag of ``target``) pair.
 

@@ -24,9 +24,10 @@ Pieces::
   health (:mod:`repro.distributed.coordinator`);
 * :class:`ShardClient` — the per-worker HTTP client separating
   retryable transport failures from structured rejections
-  (:mod:`repro.distributed.client`);
-* :class:`ShardTierConfig` — the ``REPRO_SHARD_*`` robustness knobs
-  (:mod:`repro.distributed.config`).
+  (:mod:`repro.distributed.client`).
+
+Timeout, retries, backoff and cooldown are module constants of the
+client and the coordinator; local fallback is always on.
 
 Operator guide: ``docs/distributed.md``.
 """
@@ -38,14 +39,6 @@ from repro.distributed.client import (
     parse_shard_list,
     rejection_from_body,
 )
-from repro.distributed.config import (
-    BACKOFF_ENV_VAR,
-    COOLDOWN_ENV_VAR,
-    LOCAL_FALLBACK_ENV_VAR,
-    RETRIES_ENV_VAR,
-    TIMEOUT_ENV_VAR,
-    ShardTierConfig,
-)
 from repro.distributed.coordinator import (
     LOCAL_CONTRIBUTOR,
     ShardCoordinator,
@@ -55,18 +48,12 @@ from repro.distributed.coordinator import (
 from repro.distributed.service import CoordinatedReliabilityService
 
 __all__ = [
-    "BACKOFF_ENV_VAR",
-    "COOLDOWN_ENV_VAR",
     "LOCAL_CONTRIBUTOR",
-    "LOCAL_FALLBACK_ENV_VAR",
-    "RETRIES_ENV_VAR",
-    "TIMEOUT_ENV_VAR",
     "CoordinatedReliabilityService",
     "ShardClient",
     "ShardCoordinator",
     "ShardDispatchError",
     "ShardMember",
-    "ShardTierConfig",
     "normalize_shard_url",
     "parse_shard_list",
     "partition_ranges",

@@ -35,11 +35,12 @@ from repro.api.errors import (
     InvalidQueryError,
     PayloadTooLargeError,
     ReliabilityError,
-    ShardUnavailableError,
     UnknownEstimatorError,
 )
 from repro.api.types import ShardRunRequest, ShardRunResponse
-from repro.distributed.config import DEFAULT_TIMEOUT
+
+#: Seconds one dispatch attempt may take before it counts as failed.
+DEFAULT_TIMEOUT = 30.0
 
 #: Error types a worker can legitimately reject a dispatch with; any
 #: other (or unstructured) body is a transport failure, not a verdict.
@@ -51,7 +52,6 @@ _REJECTION_TYPES = {
         UnknownEstimatorError,
         GraphLoadError,
         PayloadTooLargeError,
-        ShardUnavailableError,
     )
 }
 
@@ -115,19 +115,14 @@ def parse_shard_list(specs: str) -> Tuple[str, ...]:
 
 
 class ShardClient:
-    """JSON-over-HTTP calls to one shard worker, with a per-call timeout."""
+    """JSON-over-HTTP calls to one shard worker, each bounded by
+    :data:`DEFAULT_TIMEOUT`."""
 
-    def __init__(
-        self, base_url: str, timeout: float = DEFAULT_TIMEOUT
-    ) -> None:
+    def __init__(self, base_url: str) -> None:
         self.base_url = normalize_shard_url(base_url)
-        self.timeout = float(timeout)
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.base_url!r}, "
-            f"timeout={self.timeout})"
-        )
+        return f"{type(self).__name__}({self.base_url!r})"
 
     def _request(self, path: str, body: Optional[bytes]) -> Any:
         request = urllib.request.Request(
@@ -140,7 +135,7 @@ class ShardClient:
         )
         try:
             with urllib.request.urlopen(
-                request, timeout=self.timeout
+                request, timeout=DEFAULT_TIMEOUT
             ) as reply:
                 raw = reply.read()
         except urllib.error.HTTPError as error:
@@ -188,6 +183,7 @@ class ShardClient:
 
 
 __all__ = [
+    "DEFAULT_TIMEOUT",
     "ShardClient",
     "ShardDispatchError",
     "normalize_shard_url",

@@ -16,9 +16,7 @@ range ``[0, K)`` into per-shard sub-ranges:
   marked down and the *exact same range* is re-dispatched to the next
   healthy shard — bit-identical by the determinism contract, so a
   SIGKILLed worker mid-request costs latency, never correctness.  When
-  every shard has failed a range, the coordinator evaluates it locally
-  (unless local fallback is disabled, in which case the batch fails
-  with a structured 503);
+  every shard has failed a range, the coordinator evaluates it locally;
 * **structured rejections** (a worker's
   :class:`~repro.api.errors.ReliabilityError`, e.g. a fingerprint
   mismatch after an un-synced ``/v1/update``) are *not* retried — they
@@ -27,6 +25,13 @@ range ``[0, K)`` into per-shard sub-ranges:
 * **membership/health** is tracked per shard and surfaced under the
   ``shards`` section of ``/v1/stats``; a downed shard is optimistically
   re-probed with real work after a cooldown.
+
+The patience settings are module constants (``DEFAULT_RETRIES``,
+``DEFAULT_BACKOFF``, ``DEFAULT_COOLDOWN`` here, the per-call
+:data:`~repro.distributed.client.DEFAULT_TIMEOUT` in the client).  None
+can move a bit of any estimate: the determinism contract makes retries
+and re-dispatch value-transparent, so they trade only wall-clock
+patience for failure-detection latency.
 """
 
 from __future__ import annotations
@@ -38,11 +43,21 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.errors import ShardUnavailableError
 from repro.api.types import QuerySpec, ShardRunRequest
+from repro.distributed import client as client_module
 from repro.distributed.client import ShardClient, ShardDispatchError
-from repro.distributed.config import ShardTierConfig
 from repro.engine.batch import partition_ranges
+
+#: Extra attempts against the *same* shard before it is marked down.
+DEFAULT_RETRIES = 2
+
+#: Seconds before the first same-shard retry; doubles per attempt.
+DEFAULT_BACKOFF = 0.1
+
+#: Seconds an unhealthy shard sits out before the coordinator probes it
+#: again with real work (optimistic revival — determinism makes a probe
+#: that succeeds indistinguishable from any other dispatch).
+DEFAULT_COOLDOWN = 5.0
 
 #: The contributor tag of ranges the coordinator evaluated itself.
 LOCAL_CONTRIBUTOR = "local"
@@ -61,14 +76,14 @@ class ShardMember:
         self.failures = 0
         self.last_error: Optional[str] = None
 
-    def snapshot(self, now: float, cooldown: float) -> dict:
+    def snapshot(self, now: float) -> dict:
         return {
             "url": self.url,
             "healthy": self.healthy,
             "cooling_down": (
                 not self.healthy
                 and self.down_since is not None
-                and (now - self.down_since) < cooldown
+                and (now - self.down_since) < DEFAULT_COOLDOWN
             ),
             "dispatches": self.dispatches,
             "failures": self.failures,
@@ -90,17 +105,11 @@ class ShardCoordinator:
     #: is the one attached to its engine.
     mode = "distributed"
 
-    def __init__(
-        self,
-        shard_urls: Sequence[str],
-        config: Optional[ShardTierConfig] = None,
-    ) -> None:
+    def __init__(self, shard_urls: Sequence[str]) -> None:
         if not shard_urls:
             raise ValueError("a shard coordinator needs at least one shard")
-        self.config = config if config is not None else ShardTierConfig.from_env()
         self.members: Tuple[ShardMember, ...] = tuple(
-            ShardMember(url, ShardClient(url, timeout=self.config.timeout))
-            for url in shard_urls
+            ShardMember(url, ShardClient(url)) for url in shard_urls
         )
         self._lock = threading.Lock()
         self._rotation = 0
@@ -122,7 +131,7 @@ class ShardCoordinator:
         # failed one just re-dispatches (free, by determinism).
         return (
             member.down_since is not None
-            and (now - member.down_since) >= self.config.cooldown
+            and (now - member.down_since) >= DEFAULT_COOLDOWN
         )
 
     def available_count(self) -> int:
@@ -168,12 +177,12 @@ class ShardCoordinator:
 
     def _call_with_retry(self, member: ShardMember, request):
         """Bounded same-shard retries with exponential backoff."""
-        delay = self.config.backoff
-        for attempt in range(self.config.retries + 1):
+        delay = DEFAULT_BACKOFF
+        for attempt in range(DEFAULT_RETRIES + 1):
             try:
                 return member.client.shard_run(request)
             except ShardDispatchError:
-                if attempt == self.config.retries:
+                if attempt == DEFAULT_RETRIES:
                     raise
                 with self._lock:
                     self._retries += 1
@@ -194,23 +203,17 @@ class ShardCoordinator:
         Walks healthy shards until one answers correctly; every failed
         shard is marked down and the identical range moves on (the
         re-dispatch whose bit-identity the determinism contract
-        guarantees).  Structured rejections propagate immediately.
+        guarantees); when none is left, the range is evaluated locally.
+        Structured rejections propagate immediately.
         """
         tried: List[ShardMember] = []
         while True:
             member = self._pick(tried)
             if member is None:
-                if self.config.local_fallback:
-                    with self._lock:
-                        self._local_fallbacks += 1
-                    hits, sweeps = local_evaluator(start, stop)
-                    return hits, sweeps, LOCAL_CONTRIBUTOR
-                raise ShardUnavailableError(
-                    f"no healthy shard left for worlds [{start}, {stop}) "
-                    f"({len(self.members)} configured, "
-                    f"{len(tried)} failed this range) and local fallback "
-                    f"is disabled"
-                )
+                with self._lock:
+                    self._local_fallbacks += 1
+                hits, sweeps = local_evaluator(start, stop)
+                return hits, sweeps, LOCAL_CONTRIBUTOR
             request = make_request(start, stop)
             try:
                 response = self._call_with_retry(member, request)
@@ -278,7 +281,6 @@ class ShardCoordinator:
                 stop=stop,
                 seed=engine.seed,
                 fingerprint=engine.fingerprint,
-                chunk_size=engine.chunk_size,
             )
 
         def local_evaluator(start: int, stop: int):
@@ -322,10 +324,7 @@ class ShardCoordinator:
         """The ``shards`` section of a coordinator's ``/v1/stats``."""
         now = time.monotonic()
         with self._lock:
-            members = [
-                member.snapshot(now, self.config.cooldown)
-                for member in self.members
-            ]
+            members = [member.snapshot(now) for member in self.members]
             return {
                 "total": len(self.members),
                 "healthy": sum(
@@ -337,11 +336,20 @@ class ShardCoordinator:
                 "retries": self._retries,
                 "redispatches": self._redispatches,
                 "local_fallbacks": self._local_fallbacks,
-                "config": self.config.to_dict(),
+                "config": {
+                    "timeout": client_module.DEFAULT_TIMEOUT,
+                    "retries": DEFAULT_RETRIES,
+                    "backoff": DEFAULT_BACKOFF,
+                    "cooldown": DEFAULT_COOLDOWN,
+                    "local_fallback": True,
+                },
             }
 
 
 __all__ = [
+    "DEFAULT_BACKOFF",
+    "DEFAULT_COOLDOWN",
+    "DEFAULT_RETRIES",
     "LOCAL_CONTRIBUTOR",
     "ShardCoordinator",
     "ShardMember",

@@ -32,12 +32,11 @@ counts.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 from repro.api.service import ReliabilityService
 from repro.core.graph import UncertainGraph
 from repro.distributed.client import normalize_shard_url, parse_shard_list
-from repro.distributed.config import ShardTierConfig
 from repro.distributed.coordinator import ShardCoordinator
 # Nothing here calls it: the ledger's tracer wraps this module global by name.
 from repro.engine.plan import plan_queries  # noqa: F401
@@ -59,9 +58,6 @@ class CoordinatedReliabilityService(ReliabilityService):
         Each shard is a plain ``repro serve`` over the *same dataset,
         scale, and seed* — the fingerprint check on every dispatch
         enforces the "same graph" half of that contract at runtime.
-    shard_config:
-        A :class:`ShardTierConfig`; ``None`` resolves the
-        ``REPRO_SHARD_*`` environment knobs.
 
     The coordinator's own ``workers`` sizes nothing on the tier:
     parallelism comes from the shards, and each applies its own compute
@@ -75,14 +71,13 @@ class CoordinatedReliabilityService(ReliabilityService):
         graph: UncertainGraph,
         *,
         shards: Union[str, Sequence[str]],
-        shard_config: Optional[ShardTierConfig] = None,
         **options,
     ) -> None:
         if isinstance(shards, str):
             urls = parse_shard_list(shards)
         else:
             urls = tuple(normalize_shard_url(spec) for spec in shards)
-        self.coordinator = ShardCoordinator(urls, config=shard_config)
+        self.coordinator = ShardCoordinator(urls)
         super().__init__(graph, evaluator=self.coordinator, **options)
 
     def stats(self) -> Dict[str, object]:

@@ -15,11 +15,9 @@ from repro.serve.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     MAX_BODY_BYTES,
-    MAX_BODY_ENV_VAR,
     ReliabilityHTTPServer,
     ReliabilityRequestHandler,
     create_server,
-    max_body_bytes,
     serve,
 )
 
@@ -27,10 +25,8 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
-    "MAX_BODY_ENV_VAR",
     "ReliabilityHTTPServer",
     "ReliabilityRequestHandler",
     "create_server",
-    "max_body_bytes",
     "serve",
 ]

@@ -59,9 +59,10 @@ connection rather than let that body be read as the next request.
 :meth:`~repro.api.service.ReliabilityService.update`): cache keys embed
 the graph fingerprint, so the swap invalidates exactly the stale keys
 and nothing else.  After a successful update the handler kicks off a
-daemon **re-warm worker** that replays the hottest logged query keys
-against the successor (``--rewarm-top`` on the CLI), so steady-state
-clients come back to a warm cache instead of paying the cold-start.
+daemon **re-warm worker** that replays the
+:data:`~repro.api.service.DEFAULT_REWARM_TOP` hottest logged query keys
+against the successor, so steady-state clients come back to a warm
+cache instead of paying the cold-start.
 
 Concurrency: :class:`ThreadingHTTPServer` handles each connection on its
 own thread, and the service's fine-grained locking lets those threads
@@ -82,7 +83,6 @@ threads interleave or the pool schedules ranges (hammer-tested in
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 import traceback
@@ -106,27 +106,6 @@ DEFAULT_PORT = 8315
 #: enough that a misdirected upload cannot balloon server memory.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Environment override for the body cap — deployments fronting the
-#: server with their own limits (or test rigs) tune it without a fork.
-MAX_BODY_ENV_VAR = "REPRO_SERVE_MAX_BODY"
-
-
-def max_body_bytes() -> int:
-    """The effective request-body cap (env override, else the default).
-
-    Read per request so a test rig can lower the cap without restarting
-    the server; a missing, malformed, or non-positive override falls
-    back to :data:`MAX_BODY_BYTES` rather than disabling the guard.
-    """
-    raw = os.environ.get(MAX_BODY_ENV_VAR)
-    if raw is None:
-        return MAX_BODY_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return MAX_BODY_BYTES
-    return value if value > 0 else MAX_BODY_BYTES
-
 
 class ReliabilityHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`ReliabilityService`."""
@@ -138,13 +117,9 @@ class ReliabilityHTTPServer(ThreadingHTTPServer):
         address: Tuple[str, int],
         service: ReliabilityService,
         quiet: bool = True,
-        rewarm_top: int = DEFAULT_REWARM_TOP,
     ) -> None:
         self.service = service
         self.quiet = quiet
-        #: Hottest logged keys the post-update re-warm worker replays;
-        #: ``0`` disables background re-warming entirely.
-        self.rewarm_top = max(0, int(rewarm_top))
         super().__init__(address, ReliabilityRequestHandler)
 
     @property
@@ -279,10 +254,10 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
         One route carries transport-side behaviour the table cannot
         state: ``/v1/update`` starts the re-warm on a daemon thread
         *after* the response is computed, so the client gets its version
-        transition immediately, and the hottest logged keys are
-        re-evaluated against the successor concurrently with whatever
-        traffic follows (progress: the ``rewarm`` counters in
-        ``/v1/stats``).
+        transition immediately, and the :data:`DEFAULT_REWARM_TOP`
+        hottest logged keys are re-evaluated against the successor
+        concurrently with whatever traffic follows (progress: the
+        ``rewarm`` counters in ``/v1/stats``; ``0`` would disable it).
         """
         service = self.server.service
         method = getattr(service, endpoint.method)
@@ -290,11 +265,10 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
             return method()
         response = method(endpoint.request.from_dict(payload)).to_dict()
         if endpoint.path == "/v1/update":
-            limit = getattr(self.server, "rewarm_top", DEFAULT_REWARM_TOP)
-            if limit > 0:
+            if DEFAULT_REWARM_TOP > 0:
                 threading.Thread(
                     target=service.rewarm,
-                    args=(limit,),
+                    args=(DEFAULT_REWARM_TOP,),
                     name="repro-serve-rewarm",
                     daemon=True,
                 ).start()
@@ -359,8 +333,7 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
             raise InvalidQueryError(
                 "request body must be a JSON object (empty body received)"
             )
-        limit = max_body_bytes()
-        if length > limit:
+        if length > MAX_BODY_BYTES:
             # Drain (and discard) the declared body in bounded chunks
             # before rejecting: responding while the client is still
             # writing would reset the connection and the structured 413
@@ -376,7 +349,7 @@ class ReliabilityRequestHandler(BaseHTTPRequestHandler):
                 remaining -= len(chunk)
             raise PayloadTooLargeError(
                 f"request body of {length} bytes exceeds the "
-                f"{limit}-byte limit"
+                f"{MAX_BODY_BYTES}-byte limit"
             )
         body = self.rfile.read(length)
         try:
@@ -436,7 +409,6 @@ def create_server(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     quiet: bool = True,
-    rewarm_top: int = DEFAULT_REWARM_TOP,
 ) -> ReliabilityHTTPServer:
     """Bind a server to ``service`` (``port=0`` picks a free port).
 
@@ -445,9 +417,7 @@ def create_server(
     ``service.close()`` to tear down.  Tests bind to port 0 and drive
     the returned server from a background thread.
     """
-    return ReliabilityHTTPServer(
-        (host, port), service, quiet=quiet, rewarm_top=rewarm_top
-    )
+    return ReliabilityHTTPServer((host, port), service, quiet=quiet)
 
 
 def serve(
@@ -456,7 +426,6 @@ def serve(
     port: int = DEFAULT_PORT,
     quiet: bool = True,
     ready_callback: Optional[Callable[[ReliabilityHTTPServer], None]] = None,
-    rewarm_top: int = DEFAULT_REWARM_TOP,
 ) -> None:
     """Run the server until interrupted (the ``repro serve`` body).
 
@@ -466,9 +435,7 @@ def serve(
     Signal handlers belong to the main thread; called from any other,
     SIGTERM keeps its previous disposition.
     """
-    server = create_server(
-        service, host, port, quiet=quiet, rewarm_top=rewarm_top
-    )
+    server = create_server(service, host, port, quiet=quiet)
     if ready_callback is not None:
         ready_callback(server)
     on_main_thread = threading.current_thread() is threading.main_thread()
@@ -489,10 +456,8 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
-    "MAX_BODY_ENV_VAR",
     "ReliabilityHTTPServer",
     "ReliabilityRequestHandler",
     "create_server",
-    "max_body_bytes",
     "serve",
 ]

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.api import BatchRequest, QuerySpec, ReliabilityService
+from repro.api import service as service_module
 from repro.engine import cache as cache_module
 from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
@@ -91,10 +92,10 @@ class TestOneRoad:
 
 
 class TestFactoryConfiguration:
-    def test_engines_carry_the_service_configuration(self):
+    def test_engines_carry_the_service_configuration(self, monkeypatch):
+        monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
         with ReliabilityService.from_dataset(
-            "lastfm", "tiny", seed=3,
-            chunk_size=64, workers=2,
+            "lastfm", "tiny", seed=3, workers=2
         ) as service:
             engine = service._engine(service.graph, seed=9)
             assert isinstance(engine, BatchEngine)

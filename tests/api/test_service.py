@@ -7,13 +7,13 @@ exists for — shared caches, shared estimator indexes, and thread-safe
 bit-identical answers.
 """
 
-import contextlib
 import itertools
 import threading
 
 import numpy as np
 import pytest
 
+from repro.api import service as service_module
 from repro.api import (
     BatchRequest,
     BoundsRequest,
@@ -71,19 +71,16 @@ class TestConstruction:
         with pytest.raises(GraphLoadError, match="UncertainGraph"):
             ReliabilityService("not a graph")
 
-    @pytest.mark.parametrize("field", ["workers", "chunk_size"])
     @pytest.mark.parametrize("value", [0, -2])
-    def test_non_positive_engine_default_rejected(
-        self, diamond_graph, field, value
-    ):
+    def test_non_positive_engine_default_rejected(self, diamond_graph, value):
         # Structured at construction, not a 500 on every engine request.
         with pytest.raises(
             InvalidQueryError,
-            match=f"{field} must be a positive integer, got {value}",
+            match=f"workers must be a positive integer, got {value}",
         ):
-            ReliabilityService(diamond_graph, **{field: value})
-        with pytest.raises(InvalidQueryError, match=f"{field} must be"):
-            ReliabilityService.from_dataset("lastfm", "tiny", **{field: value})
+            ReliabilityService(diamond_graph, workers=value)
+        with pytest.raises(InvalidQueryError, match="workers must be"):
+            ReliabilityService.from_dataset("lastfm", "tiny", workers=value)
 
     def test_context_manager_closes(self, diamond_graph):
         with ReliabilityService(diamond_graph) as service:
@@ -277,18 +274,12 @@ class TestOtherEndpoints:
         response = service.topk(TopKRequest(source=0, k=3, samples=200))
         assert list(response.ranking) == expected
 
-    def test_topk_is_on_the_bit_identity_contract(self, service):
+    def test_topk_is_on_the_bit_identity_contract(self, service, monkeypatch):
         """Top-k at seed x == `/v1/batch` `mc` at seed x, bit for bit."""
         nodes = range(service.graph.node_count)
-        with contextlib.ExitStack() as stack:
-            reconfigured = [
-                stack.enter_context(
-                    ReliabilityService.from_dataset(
-                        "lastfm", "tiny", seed=3, **options
-                    )
-                )
-                for options in ({"chunk_size": 64}, {"workers": 2})
-            ]
+        with ReliabilityService.from_dataset(
+            "lastfm", "tiny", seed=3, workers=2
+        ) as pooled:
             for seed, source in itertools.product((4, 21), (0, 7)):
                 request = TopKRequest(
                     source=source, k=len(nodes), samples=200, seed=seed
@@ -308,8 +299,10 @@ class TestOtherEndpoints:
                     for row in batch.results
                     if row.target != source
                 }
-                for other in reconfigured:
-                    assert other.topk(request).ranking == ranking
+                assert pooled.topk(request).ranking == ranking
+                with monkeypatch.context() as patch:
+                    patch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
+                    assert service.topk(request).ranking == ranking
 
     def test_bounds_matches_direct_call(self, service):
         lower, upper = reliability_bounds(service.graph, 0, 5)

@@ -1,10 +1,11 @@
 """Engine tuning is service configuration, never a request field.
 
-``chunk_size`` and ``workers`` configure the service a transport opens
-(``ReliabilityService(chunk_size=, workers=)``, ``repro batch|warm|serve
---chunk-size/--workers``); the sweep kernel is no served option at all.
+``workers`` configures the service a transport opens
+(``ReliabilityService(workers=)``, ``repro batch|warm|serve
+--workers``); the chunk size is the module constant
+``DEFAULT_CHUNK_SIZE`` and the sweep kernel is no served option at all.
 A `/v1` body carrying any of them is an unknown key, and a CLI run with
-the flags is the facade configured the same way.  So are the two served
+the flag is the facade configured the same way.  So are the two served
 options that selected nothing: `/v1/batch` ``sequential`` (the per-query
 loop the engine exists to beat) and `/v1/topk` ``method`` (both of its
 values named one sweep).  Router tuning and result-cache sizing are not
@@ -19,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro.api import BatchRequest, QuerySpec, ReliabilityService
+from repro.api import service as service_module
 from repro.cli import main
 from repro.routing import DEFAULT_CANDIDATES
 
@@ -45,6 +47,7 @@ BODIES = {
         ("/v1/warm", "workers", 2),
         ("/v1/warm", "chunk_size", 64),
         ("/v1/shard/run", "kernels", "simd"),
+        ("/v1/shard/run", "chunk_size", 64),
         ("/v1/batch", "sequential", True),
         ("/v1/topk", "method", "mc"),
     ],
@@ -74,17 +77,19 @@ def _without_seconds(document):
     return document
 
 
-def test_cli_flags_configure_the_service(capsys, tmp_path):
+def test_cli_flags_configure_the_service(capsys, tmp_path, monkeypatch):
     path = tmp_path / "queries.json"
     path.write_text(json.dumps(QUERIES), encoding="utf-8")
     arguments = ["batch", "--queries", str(path), "--dataset", "lastfm",
                  "--scale", "tiny", "--seed", "3"]
-    assert main(arguments + ["--workers", "2", "--chunk-size", "64"]) == 0
-    configured = json.loads(capsys.readouterr().out)
     assert main(arguments) == 0
     default = json.loads(capsys.readouterr().out)
+    assert default["engine"]["chunk_size"] == 256
+    monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
+    assert main(arguments + ["--workers", "2"]) == 0
+    configured = json.loads(capsys.readouterr().out)
     with ReliabilityService.from_dataset(
-        "lastfm", "tiny", seed=3, workers=2, chunk_size=64
+        "lastfm", "tiny", seed=3, workers=2
     ) as service:
         facade = service.estimate_batch(
             BatchRequest(
@@ -105,7 +110,7 @@ def test_cli_warm_flags_configure_the_service(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
     dataset = ["--queries", str(path), "--dataset", "lastfm", "--scale",
                "tiny", "--seed", "3", "--cache-dir", cache_dir]
-    assert main(["warm", *dataset, "--workers", "2", "--chunk-size", "64"]) == 0
+    assert main(["warm", *dataset, "--workers", "2"]) == 0
     warmed = json.loads(capsys.readouterr().out)
     assert warmed["newly_written"] == len(QUERIES)
     assert main(["batch", *dataset]) == 0

@@ -21,6 +21,7 @@ from repro.api import (
     ShardRunResponse,
     UpdateRequest,
 )
+from repro.api import service as service_module
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
 
@@ -63,6 +64,17 @@ class TestShardRunEvaluation:
         assert response.worlds_evaluated == oracle.worlds_evaluated
         assert response.fingerprint == engine.fingerprint
         assert response.query_count == len(QUERIES)
+
+    def test_sweeps_at_the_served_chunk_size(self, service, monkeypatch):
+        # No request names a chunk size: the worker's is the served one,
+        # the same constant the coordinator partitions by.
+        monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
+        response = service.shard_run(shard_request(service, 0, 300))
+        oracle = BatchEngine(
+            service.graph, seed=SEED, chunk_size=64, workers=1
+        ).run_range([(0, 5, 300), (3, 9, 250), (0, 7, 200, 2)], 0, 300)
+        assert list(response.hits) == [int(h) for h in oracle.hits]
+        assert response.sweeps == oracle.sweeps
 
     def test_subranges_sum_to_full_range(self, service):
         low = service.shard_run(shard_request(service, 0, 150))
@@ -121,7 +133,7 @@ class TestShardRunRejections:
 
 class TestShardRunWireTypes:
     def test_request_roundtrip(self, service):
-        request = shard_request(service, 5, 105, chunk_size=64)
+        request = shard_request(service, 5, 105, samples=300, max_hops=3)
         assert ShardRunRequest.from_dict(request.to_dict()) == request
 
     def test_request_requires_fingerprint(self):

@@ -12,7 +12,11 @@ parser messages — ``batch_integer_kernels``, ``warm_unknown_key`` and
 ``shard_run_unknown_key`` — when ``chunk_size`` / ``workers`` /
 ``kernels`` left the request bodies for service configuration; and
 ``topk`` and ``batch_integer_kernels`` once more when the top-k
-``method`` and the batch ``sequential`` fields were deleted.)
+``method`` and the batch ``sequential`` fields were deleted, and
+``shard_run_unknown_key`` once more when ``chunk_size`` left the shard
+run request: the worker sweeps at the served chunk size.  The
+``shard_run`` case still replays its recorded 64-world chunks, by
+setting the service's chunk-size constant for that one request.)
 
 The cases run in file order against one service: both recommends and the
 ``method="auto"`` batch come first (the router is still cold, so its
@@ -36,6 +40,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import service as service_module
 from repro.api import (
     BatchRequest,
     QuerySpec,
@@ -45,6 +50,7 @@ from repro.api import (
     UpdateRequest,
 )
 from repro.serve import create_server
+from repro.serve import server as server_module
 
 GOLDEN_PATH = Path(__file__).with_name("golden_wire.json")
 
@@ -83,12 +89,16 @@ CASES = [
     ("bounds", "POST", "/v1/bounds", {"source": 0, "target": 5}),
     ("shard_run", "POST", "/v1/shard/run",
      {"queries": [[0, 5, 200], [3, 9, 150, 2]], "start": 64, "stop": 192,
-      "seed": 11, "fingerprint": FINGERPRINT, "chunk_size": 64}),
+      "seed": 11, "fingerprint": FINGERPRINT}),
     ("update", "POST", "/v1/update",
      {"set_edges": [[0, 5, 0.9], [0, 3, 0.25]], "remove_edges": [[0, 2]]}),
 ]
 
 OK_QUERIES = [[0, 5, 100]]
+
+#: Cases recorded while the service streamed other than its default
+#: chunk size: ``{case name: chunk size}``.
+CHUNK_SIZES = {"shard_run": 64}
 
 #: Malformed requests, one per parser message; same tuple shape as CASES.
 ERRORS = [
@@ -183,13 +193,19 @@ def replay():
     was retired, so ``REPRO_ENGINE_WORKERS`` must not reach this service.
     """
     service = ReliabilityService.from_dataset("lastfm", "tiny", seed=3, workers=1)
-    # rewarm_top=0: the update case must not race a background re-warm.
-    server = create_server(service, port=0, rewarm_top=0)
+    server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     documents = {}
+    default_chunk_size = service_module.DEFAULT_CHUNK_SIZE
+    rewarm_top = server_module.DEFAULT_REWARM_TOP
+    # The update case must not race a background re-warm.
+    server_module.DEFAULT_REWARM_TOP = 0
     try:
         for name, _verb, target, body in CASES + ERRORS:
+            service_module.DEFAULT_CHUNK_SIZE = CHUNK_SIZES.get(
+                name, default_chunk_size
+            )
             data = None if body is None else json.dumps(body).encode("utf-8")
             request = urllib.request.Request(server.url + target, data=data)
             try:
@@ -199,6 +215,8 @@ def replay():
                 reply = error.code, json.loads(error.read())
             documents[name] = [reply[0], _normalised(reply[1])]
     finally:
+        service_module.DEFAULT_CHUNK_SIZE = default_chunk_size
+        server_module.DEFAULT_REWARM_TOP = rewarm_top
         server.shutdown()
         server.server_close()
         service.close()
@@ -247,7 +265,7 @@ ROUND_TRIPS = [
     ),
     ShardRunRequest(
         queries=QUERIES, start=64, stop=192, seed=11,
-        fingerprint=FINGERPRINT, samples=300, max_hops=3, chunk_size=64,
+        fingerprint=FINGERPRINT, samples=300, max_hops=3,
     ),
     ShardRunResponse(
         hits=(3, 0), start=64, stop=192, worlds_evaluated=128, sweeps=2,

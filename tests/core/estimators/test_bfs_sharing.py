@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators.bfs_sharing import BFSSharingEstimator, BFSSharingIndex
+from repro.core.estimators.bfs_sharing import (
+    BFSSharingEstimator,
+    BFSSharingIndex,
+    shared_reachability_fixpoint,
+)
 from repro.core.exact import reliability_exact
 from repro.core.possible_world import reachable_in_world
 from repro.util import bitset
@@ -76,6 +80,47 @@ class TestSharedBfsEquivalence:
         estimator.prepare()
         value = estimator.estimate(0, 3, 32)
         assert (value * 32) == pytest.approx(round(value * 32))
+
+
+class TestPerQueryKernel:
+    """Per-query sweeps run the engine's vectorized kernel.
+
+    The least fixpoint is unique, so its node bits equal the reference
+    worklist kernel's over the same index, bit for bit — also after a
+    query larger than the capacity grows the index.
+    """
+
+    @staticmethod
+    def reference_bits(estimator, source, samples):
+        words = bitset.packed_words(samples)
+        node_bits, _ = shared_reachability_fixpoint(
+            estimator.graph, estimator.index.edge_bits[:, :words], source, samples
+        )
+        return node_bits
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_bits_match_the_reference_kernel(self, seed):
+        graph = random_graph(seed, node_count=9, edge_probability=0.3)
+        estimator = BFSSharingEstimator(graph, capacity=200, seed=seed)
+        for source in range(graph.node_count):
+            for samples in (1, 64, 130, 200):
+                np.testing.assert_array_equal(
+                    estimator.reachability_bits(source, samples),
+                    self.reference_bits(estimator, source, samples),
+                )
+
+    def test_node_bits_match_after_capacity_growth(self):
+        graph = random_graph(7, node_count=9, edge_probability=0.3)
+        estimator = BFSSharingEstimator(graph, capacity=64, seed=7)
+        np.testing.assert_array_equal(
+            estimator.reachability_bits(0, 64),
+            self.reference_bits(estimator, 0, 64),
+        )
+        grown = estimator.reachability_bits(0, 300)
+        assert estimator.capacity == 300
+        np.testing.assert_array_equal(
+            grown, self.reference_bits(estimator, 0, 300)
+        )
 
 
 class TestEstimator:

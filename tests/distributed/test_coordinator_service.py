@@ -10,11 +10,13 @@ covers.  The properties pinned here are the tier's whole contract:
   ``engine.seconds``;
 * the coordinator owns the caches (second pass never dispatches);
 * a vanished worker means re-dispatch, not wrong numbers;
-* with every shard down the coordinator either falls back locally or
-  fails with a structured 503, by configuration;
+* with every shard down the coordinator evaluates the ranges itself;
 * a worker's structured rejection (fingerprint mismatch after an
   un-synced ``/v1/update``) surfaces to the coordinator's client with
   its original type and status — never a generic 500.
+
+The tier's patience settings are module constants; the ``fast_tier``
+fixture tightens them for every test here.
 """
 
 import json
@@ -29,14 +31,14 @@ from repro.api import (
     EstimateRequest,
     QuerySpec,
     ReliabilityService,
-    ShardUnavailableError,
 )
 from repro.datasets.suite import load_dataset
 from repro.distributed import (
     CoordinatedReliabilityService,
     ShardCoordinator,
-    ShardTierConfig,
 )
+from repro.distributed import client as client_module
+from repro.distributed import coordinator as coordinator_module
 from repro.serve import create_server
 
 SEED = 7
@@ -51,9 +53,20 @@ WORKLOAD = BatchRequest(
     samples=300,
 )
 
-FAST = ShardTierConfig(
-    timeout=10.0, retries=1, backoff=0.0, cooldown=300.0, local_fallback=True
-)
+#: Tight patience: failover is fast, and a downed shard stays down.
+FAST = {"timeout": 10.0, "retries": 1, "backoff": 0.0, "cooldown": 300.0}
+
+
+def tighten(monkeypatch, timeout, retries, backoff, cooldown):
+    monkeypatch.setattr(client_module, "DEFAULT_TIMEOUT", timeout)
+    monkeypatch.setattr(coordinator_module, "DEFAULT_RETRIES", retries)
+    monkeypatch.setattr(coordinator_module, "DEFAULT_BACKOFF", backoff)
+    monkeypatch.setattr(coordinator_module, "DEFAULT_COOLDOWN", cooldown)
+
+
+@pytest.fixture(autouse=True)
+def fast_tier(monkeypatch):
+    tighten(monkeypatch, **FAST)
 
 
 def start_worker():
@@ -73,14 +86,10 @@ def stop_worker(worker):
     thread.join(timeout=5)
 
 
-def make_coordinator(shard_urls, config=FAST):
+def make_coordinator(shard_urls):
     loaded = load_dataset("lastfm", "tiny", SEED)
     return CoordinatedReliabilityService(
-        loaded.graph,
-        seed=SEED,
-        dataset=loaded,
-        shards=shard_urls,
-        shard_config=config,
+        loaded.graph, seed=SEED, dataset=loaded, shards=shard_urls
     )
 
 
@@ -130,9 +139,7 @@ class TestWireCompatibility:
             loaded.graph,
             seed=SEED,
             dataset=loaded,
-            evaluator=ShardCoordinator(
-                [w[1].url for w in workers], config=FAST
-            ),
+            evaluator=ShardCoordinator([w[1].url for w in workers]),
         )
 
         def wire_bytes(service):
@@ -197,7 +204,7 @@ class TestWireCompatibility:
         assert {m["url"] for m in shards["members"]} == {
             w[1].url for w in workers
         }
-        assert shards["config"]["retries"] == FAST.retries
+        assert shards["config"] == {**FAST, "local_fallback": True}
 
 
 class TestFailover:
@@ -234,41 +241,12 @@ class TestFailover:
         # Every range was served by the coordinator itself.
         assert distributed["engine"]["workers"] == 1
 
-    def test_fallback_disabled_fails_with_structured_503(self):
-        workers = [start_worker()]
-        coordinator = make_coordinator(
-            [workers[0][1].url],
-            config=ShardTierConfig(
-                timeout=5.0,
-                retries=0,
-                backoff=0.0,
-                cooldown=300.0,
-                local_fallback=False,
-            ),
-        )
-        try:
-            stop_worker(workers.pop())
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                coordinator.estimate_batch(WORKLOAD)
-            assert excinfo.value.http_status == 503
-            assert "local fallback is disabled" in str(excinfo.value)
-        finally:
-            coordinator.close()
-
-    def test_recovered_worker_is_revived_after_cooldown(self):
+    def test_recovered_worker_is_revived_after_cooldown(self, monkeypatch):
+        # Zero cooldown: a downed shard is immediately eligible for the
+        # optimistic re-probe.
+        tighten(monkeypatch, timeout=5.0, retries=0, backoff=0.0, cooldown=0.0)
         workers = [start_worker(), start_worker()]
-        coordinator = make_coordinator(
-            [w[1].url for w in workers],
-            # Zero cooldown: a downed shard is immediately eligible for
-            # the optimistic re-probe.
-            config=ShardTierConfig(
-                timeout=5.0,
-                retries=0,
-                backoff=0.0,
-                cooldown=0.0,
-                local_fallback=True,
-            ),
-        )
+        coordinator = make_coordinator([w[1].url for w in workers])
         try:
             victim_service, victim_server, victim_thread = workers[0]
             port = victim_server.server_address[1]

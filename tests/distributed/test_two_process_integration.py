@@ -43,15 +43,18 @@ BATCH_BODY = {
 }
 
 
-def spawn_serve(extra_args=(), extra_env=None):
-    """Start a ``repro serve`` subprocess; return ``(process, url)``."""
+def spawn_serve(extra_args=()):
+    """Start a ``repro serve`` subprocess; return ``(process, url)``.
+
+    Every process runs on the defaults: no flag or environment variable
+    tunes the shard tier.
+    """
     environment = dict(os.environ)
     environment["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + environment["PYTHONPATH"]
         if environment.get("PYTHONPATH")
         else ""
     )
-    environment.update(extra_env or {})
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -102,16 +105,6 @@ def normalized(document):
     return document
 
 
-def coordinator_env():
-    """Tight robustness knobs so failover is fast under test."""
-    return {
-        "REPRO_SHARD_TIMEOUT": "15",
-        "REPRO_SHARD_RETRIES": "0",
-        "REPRO_SHARD_BACKOFF": "0",
-        "REPRO_SHARD_COOLDOWN": "300",
-    }
-
-
 def sequential_oracle():
     """The engine's per-query loop — the paper-faithful reference."""
     graph = load_dataset("lastfm", "tiny", SEED).graph
@@ -133,8 +126,7 @@ class TestTwoProcessTier:
                 url.replace("http://", "") for url in (url_a, url_b)
             )
             coordinator, url_c = spawn_serve(
-                ("--coordinator", "--shards", shards),
-                extra_env=coordinator_env(),
+                ("--coordinator", "--shards", shards)
             )
             processes.append(coordinator)
 
@@ -169,8 +161,7 @@ class TestTwoProcessTier:
                 url.replace("http://", "") for url in (url_a, url_b)
             )
             coordinator, url_c = spawn_serve(
-                ("--coordinator", "--shards", shards),
-                extra_env=coordinator_env(),
+                ("--coordinator", "--shards", shards)
             )
             processes.append(coordinator)
 
@@ -254,11 +245,7 @@ class TestTwoProcessTier:
             worker, url_w = spawn_serve()
             processes.append(worker)
             coordinator, url_c = spawn_serve(
-                ("--coordinator", "--shards", url_w.replace("http://", "")),
-                extra_env={
-                    **coordinator_env(),
-                    "REPRO_SHARD_LOCAL_FALLBACK": "off",
-                },
+                ("--coordinator", "--shards", url_w.replace("http://", ""))
             )
             processes.append(coordinator)
             # Update the coordinator's graph only; the worker is stale.

@@ -2,25 +2,19 @@
 
 Partitioning is where exactness lives (chunk-aligned cuts keep every
 shard's sweep bookkeeping identical to the single-process run), the
-config module is the operator surface (``REPRO_SHARD_*``), and the
-client helpers decide which failures are retryable — so all three are
-pinned without any network in sight.
+tier's patience settings are module constants echoed by ``/v1/stats``,
+and the client helpers decide which failures are retryable — so all
+three are pinned without any network in sight.
 """
 
 import pytest
 
-from repro.api import (
-    FingerprintMismatchError,
-    InvalidQueryError,
-    ShardUnavailableError,
-)
+from repro.api import FingerprintMismatchError, InvalidQueryError
 from repro.distributed import (
-    BACKOFF_ENV_VAR,
-    COOLDOWN_ENV_VAR,
-    LOCAL_FALLBACK_ENV_VAR,
-    RETRIES_ENV_VAR,
-    TIMEOUT_ENV_VAR,
-    ShardTierConfig,
+    ShardClient,
+    ShardCoordinator,
+    client,
+    coordinator,
     normalize_shard_url,
     parse_shard_list,
     partition_ranges,
@@ -76,52 +70,51 @@ class TestPartitionRanges:
         assert covered == total
 
 
-class TestShardTierConfig:
+class TestShardTierSettings:
     def test_defaults(self):
-        config = ShardTierConfig()
-        assert config.timeout == 30.0
-        assert config.retries == 2
-        assert config.backoff == 0.1
-        assert config.cooldown == 5.0
-        assert config.local_fallback is True
+        assert client.DEFAULT_TIMEOUT == 30.0
+        assert coordinator.DEFAULT_RETRIES == 2
+        assert coordinator.DEFAULT_BACKOFF == 0.1
+        assert coordinator.DEFAULT_COOLDOWN == 5.0
 
-    def test_from_env_reads_every_knob(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "2.5")
-        monkeypatch.setenv(RETRIES_ENV_VAR, "4")
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0.01")
-        monkeypatch.setenv(COOLDOWN_ENV_VAR, "1.5")
-        monkeypatch.setenv(LOCAL_FALLBACK_ENV_VAR, "off")
-        config = ShardTierConfig.from_env()
-        assert config == ShardTierConfig(
-            timeout=2.5,
-            retries=4,
-            backoff=0.01,
-            cooldown=1.5,
-            local_fallback=False,
-        )
-
-    def test_malformed_values_fall_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "fast")
-        monkeypatch.setenv(RETRIES_ENV_VAR, "-3")
-        monkeypatch.setenv(LOCAL_FALLBACK_ENV_VAR, "maybe")
-        config = ShardTierConfig.from_env()
-        assert config.timeout == 30.0
-        assert config.retries == 2  # below the minimum -> the default
-        assert config.local_fallback is True
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), ("on", True),
-        ("0", False), ("false", False), ("No", False), ("off", False),
-    ])
-    def test_boolean_spellings(self, monkeypatch, value, expected):
-        monkeypatch.setenv(LOCAL_FALLBACK_ENV_VAR, value)
-        assert ShardTierConfig.from_env().local_fallback is expected
-
-    def test_to_dict_echoes_every_knob(self):
-        document = ShardTierConfig().to_dict()
-        assert set(document) == {
-            "timeout", "retries", "backoff", "cooldown", "local_fallback"
+    def test_stats_echo_every_setting(self):
+        document = ShardCoordinator(["127.0.0.1:1"]).statistics()["config"]
+        assert document == {
+            "timeout": 30.0,
+            "retries": 2,
+            "backoff": 0.1,
+            "cooldown": 5.0,
+            "local_fallback": True,
         }
+
+    def test_stats_echo_the_effective_constants(self, monkeypatch):
+        monkeypatch.setattr(client, "DEFAULT_TIMEOUT", 2.5)
+        monkeypatch.setattr(coordinator, "DEFAULT_RETRIES", 4)
+        monkeypatch.setattr(coordinator, "DEFAULT_BACKOFF", 0.01)
+        monkeypatch.setattr(coordinator, "DEFAULT_COOLDOWN", 1.5)
+        document = ShardCoordinator(["127.0.0.1:1"]).statistics()["config"]
+        assert document == {
+            "timeout": 2.5,
+            "retries": 4,
+            "backoff": 0.01,
+            "cooldown": 1.5,
+            "local_fallback": True,
+        }
+
+    def test_the_client_reads_the_timeout_per_call(self, monkeypatch):
+        seen = []
+
+        def fake_urlopen(request, timeout):
+            seen.append(timeout)
+            raise OSError("refused")
+
+        monkeypatch.setattr(client.urllib.request, "urlopen", fake_urlopen)
+        shard = ShardClient("127.0.0.1:1")
+        monkeypatch.setattr(client, "DEFAULT_TIMEOUT", 0.5)
+        with pytest.raises(client.ShardDispatchError):
+            shard.health()
+        assert seen == [0.5]
+        assert repr(shard) == "ShardClient('http://127.0.0.1:1')"
 
 
 class TestShardAddresses:
@@ -177,14 +170,6 @@ class TestRejectionMapping:
         assert isinstance(rejection, InvalidQueryError)
         assert rejection.http_status == 400
 
-    def test_shard_unavailable_maps_to_503(self):
-        rejection = rejection_from_body(
-            encoded(
-                {"error": {"type": "ShardUnavailableError", "message": "x"}}
-            )
-        )
-        assert isinstance(rejection, ShardUnavailableError)
-
     @pytest.mark.parametrize("body", [
         b"",
         b"not json at all",
@@ -195,6 +180,8 @@ class TestRejectionMapping:
         encoded({"error": {"message": "typeless"}}),
         encoded({"error": {"type": "KeyboardInterrupt", "message": "n"}}),
         encoded({"error": {"type": 7, "message": "numeric type"}}),
+        # No tier error answers 503: local fallback is always on.
+        encoded({"error": {"type": "ShardUnavailableError", "message": "x"}}),
     ])
     def test_everything_else_is_not_a_rejection(self, body):
         assert rejection_from_body(body) is None

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ReliabilityService
-from repro.distributed import ShardCoordinator, ShardTierConfig, coordinator
+from repro.api import service as service_module
+from repro.distributed import ShardCoordinator, coordinator
 from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine, partition_ranges
 from repro.engine.cache import ResultCache
@@ -78,8 +79,13 @@ def inline(graph):
 
 
 @pytest.fixture()
-def shard_urls(graph):
-    """Two real shard servers (HTTP, ephemeral ports) over ``graph``."""
+def shard_urls(graph, monkeypatch):
+    """Two real shard servers (HTTP, ephemeral ports) over ``graph``.
+
+    They sweep at this suite's chunk size, so the shards' chunk
+    boundaries (and the merged ``sweeps``) line up with the reference.
+    """
+    monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", CHUNK)
     workers = []
     for _ in range(2):
         service = ReliabilityService(graph, seed=SEED)
@@ -152,14 +158,11 @@ class TestSeamConformance:
             other, run_through(graph, seed=SEED + 1), contributors=2
         )
 
-    def test_shard_coordinator(self, graph, inline, shard_urls):
-        tier = ShardCoordinator(
-            shard_urls,
-            config=ShardTierConfig(
-                timeout=10.0, retries=0, backoff=0.0, cooldown=300.0,
-                local_fallback=False,
-            ),
-        )
+    def test_shard_coordinator(self, graph, inline, shard_urls, monkeypatch):
+        monkeypatch.setattr(coordinator, "DEFAULT_RETRIES", 0)
+        monkeypatch.setattr(coordinator, "DEFAULT_BACKOFF", 0.0)
+        monkeypatch.setattr(coordinator, "DEFAULT_COOLDOWN", 300.0)
+        tier = ShardCoordinator(shard_urls)
         sharded = run_through(graph, pool=tier)
         assert_same_run(sharded, inline, contributors=2)
         statistics = tier.statistics()

@@ -28,8 +28,8 @@ SEED = 3
 ROUNDS = 3
 CLIENTS = 4
 
-#: Workloads big enough to fan out: at --chunk-size 64, the 300-sample
-#: budget splits into 5 chunk tasks per run.
+#: Workloads big enough to fan out: at the default 256-world chunk
+#: size, every budget spans two chunks, one per pool worker.
 BATCH_BODIES = (
     {"queries": [[0, 5, 300], [3, 9, 300], [0, 7, 260, 2]]},
     {"queries": [[1, 6, 300], [2, 8, 280]]},
@@ -81,7 +81,7 @@ class TestServePoolHammer:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--dataset", "lastfm",
              "--scale", "tiny", "--seed", str(SEED), "--port", "0",
-             "--workers", "2", "--chunk-size", "64"],
+             "--workers", "2"],
             stdout=subprocess.PIPE,
             text=True,
             env=environment,

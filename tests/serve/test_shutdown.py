@@ -40,7 +40,7 @@ SEED = 3
 
 #: Pre-warmed into the sidecar, so the server answers them as disk hits.
 HOT = [[0, 5, 200], [3, 9, 200]]
-#: Never warmed, five 64-world chunks wide: this one forks the pool.
+#: Never warmed, two 256-world chunks wide: this one forks the pool.
 COLD = [[1, 6, 300], [2, 8, 300]]
 #: Never warmed and seconds long: what the workers chew on at SIGTERM.
 LONG = [[1, 7, 100_000]]
@@ -137,8 +137,7 @@ def test_sigterm_closes_the_pool_and_flushes_the_sidecar(tmp_path):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--dataset", "lastfm",
          "--scale", "tiny", "--seed", str(SEED), "--port", "0",
-         "--workers", "2", "--chunk-size", "64",
-         "--cache-dir", str(cache_dir)],
+         "--workers", "2", "--cache-dir", str(cache_dir)],
         stdout=subprocess.PIPE,
         text=True,
         env=environment,

@@ -23,10 +23,12 @@ from pathlib import Path
 import pytest
 
 from repro.api import ReliabilityService
+from repro.api.service import DEFAULT_REWARM_TOP
 from repro.core.mutation import apply_update
 from repro.engine.batch import BatchEngine
 from repro.engine.cache import graph_fingerprint
 from repro.serve import create_server
+from repro.serve import server as server_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -37,9 +39,11 @@ RESOLVED = [(0, 5, 200, None), (3, 9, 150, None)]
 
 
 @pytest.fixture
-def served():
+def served(monkeypatch):
+    # No background re-warm: these tests count the successor's misses.
+    monkeypatch.setattr(server_module, "DEFAULT_REWARM_TOP", 0)
     service = ReliabilityService.from_dataset("lastfm", "tiny", seed=SEED)
-    server = create_server(service, port=0, rewarm_top=0)
+    server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -163,27 +167,19 @@ class TestContentLengthGuards:
         # The server survived the malformed header.
         assert get(served, "/v1/health")["status"] == "ok"
 
-    def test_env_knob_lowers_the_cap_to_a_413(self, served, monkeypatch):
-        from repro.serve import MAX_BODY_ENV_VAR
-
-        monkeypatch.setenv(MAX_BODY_ENV_VAR, "64")
+    def test_a_lowered_cap_is_a_413(self, served, monkeypatch):
+        # The cap is read per request, so a running server follows it.
+        default = server_module.MAX_BODY_BYTES
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
         status, payload = post(
             served, "/v1/batch", {"queries": [[0, 5, 100]] * 40}
         )
         assert status == 413
         assert payload["error"]["type"] == "PayloadTooLargeError"
         assert "64-byte limit" in payload["error"]["message"]
-        monkeypatch.delenv(MAX_BODY_ENV_VAR)
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", default)
         status, _ = post(served, "/v1/batch", {"queries": [[0, 5, 100]]})
         assert status == 200
-
-    def test_malformed_env_knob_falls_back_to_default(self, monkeypatch):
-        from repro.serve import MAX_BODY_BYTES, max_body_bytes
-
-        monkeypatch.setenv("REPRO_SERVE_MAX_BODY", "not-a-number")
-        assert max_body_bytes() == MAX_BODY_BYTES
-        monkeypatch.setenv("REPRO_SERVE_MAX_BODY", "-3")
-        assert max_body_bytes() == MAX_BODY_BYTES
 
 
 class TestMidTrafficUpdate:
@@ -262,12 +258,16 @@ class TestServeUpdateAcceptance:
 
     Drives the full lifecycle: warm traffic builds the query log, an
     update lands, stale keys miss, answers match the oracle on the
-    mutated graph, and the background re-warm worker (``--rewarm-top
-    1``) repopulates the hottest key — observable via ``/v1/stats``.
+    mutated graph, and the background re-warm worker repopulates the
+    ``DEFAULT_REWARM_TOP`` (eight) hottest keys — observable via
+    ``/v1/stats``.
     """
 
     A = {"queries": [[0, 5, 200]]}
     B = {"queries": [[3, 9, 150]]}
+    #: Seven more keys, each hotter than B: with A they fill the re-warm
+    #: depth, so B is the one logged key left cold.
+    OTHERS = {"queries": [[0, target, 200] for target in (1, 2, 3, 4, 6, 7, 8)]}
 
     @pytest.fixture
     def process(self, tmp_path):
@@ -279,8 +279,7 @@ class TestServeUpdateAcceptance:
         )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--dataset", "lastfm",
-             "--scale", "tiny", "--seed", str(SEED), "--port", "0",
-             "--rewarm-top", "1"],
+             "--scale", "tiny", "--seed", str(SEED), "--port", "0"],
             stdout=subprocess.PIPE,
             text=True,
             env=environment,
@@ -319,10 +318,15 @@ class TestServeUpdateAcceptance:
         u, v, _ = first_edge(graph)
         mutated = apply_update(graph, set_edges=[(u, v, 0.5)]).graph
 
-        # A is the hottest key (3 hits), B a cold one (1 hit): with
-        # --rewarm-top 1 only A is replayed after the update.
+        # A is the hottest key (3 hits), seven others follow (2 hits
+        # each), B is a cold one (1 hit): with the default depth of
+        # eight, A and the seven are replayed after the update, B is not.
+        assert DEFAULT_REWARM_TOP == 1 + len(self.OTHERS["queries"])
         for _ in range(3):
             status, a_before = self._post(url, "/v1/batch", self.A)
+            assert status == 200
+        for _ in range(2):
+            status, _ = self._post(url, "/v1/batch", self.OTHERS)
             assert status == 200
         status, _ = self._post(url, "/v1/batch", self.B)
         assert status == 200
@@ -348,9 +352,9 @@ class TestServeUpdateAcceptance:
             oracle.estimates[1]
         )
 
-        # The background worker re-warmed the top-1 key (A): once the
-        # stats counters show the pass finished, replaying A samples
-        # nothing.
+        # The background worker re-warmed the top-8 keys (A among
+        # them): once the stats counters show the pass finished,
+        # replaying A samples nothing.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             stats = self._get(url, "/v1/stats")
@@ -359,6 +363,7 @@ class TestServeUpdateAcceptance:
             time.sleep(0.1)
         assert stats["rewarm"]["runs"] >= 1
         assert stats["rewarm"]["queries"] >= 1
+        assert stats["rewarm"]["queries"] == DEFAULT_REWARM_TOP
 
         status, a_after = self._post(url, "/v1/batch", self.A)
         assert status == 200

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import service as service_module
 from repro.cli import main
 
 
@@ -134,18 +135,13 @@ class TestRecommend:
 
 
 class TestServe:
-    @pytest.mark.parametrize(
-        "flag,field", [("--workers", "workers"), ("--chunk-size", "chunk_size")]
-    )
-    def test_non_positive_engine_default_is_the_services_message(
-        self, flag, field
-    ):
+    def test_non_positive_engine_default_is_the_services_message(self):
         # Rejected while the service is built, before anything binds.
         with pytest.raises(SystemExit) as failure:
             main(["serve", "--dataset", "lastfm", "--scale", "tiny",
-                  "--port", "0", flag, "0"])
+                  "--port", "0", "--workers", "0"])
         assert failure.value.code == (
-            f"repro serve: {field} must be a positive integer, got 0"
+            "repro serve: workers must be a positive integer, got 0"
         )
 
 
@@ -295,10 +291,15 @@ class TestBatch:
                  "--scale", "tiny"]
             )
 
-    def test_workers_runs_and_agrees_with_serial(self, capsys, tmp_path):
+    def test_workers_runs_and_agrees_with_serial(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 64-world chunks: both budgets span several, so two workers
+        # both get a range.
+        monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
         path = self._write_queries(tmp_path, "0 5 200\n3 9 150\n")
         args = ["batch", "--queries", path, "--dataset", "lastfm",
-                "--scale", "tiny", "--seed", "3", "--chunk-size", "64"]
+                "--scale", "tiny", "--seed", "3"]
         main(args + ["--workers", "1"])
         serial = json.loads(capsys.readouterr().out)
         main(args + ["--workers", "2"])
@@ -376,13 +377,14 @@ class TestBatchFastPaths:
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["max_hops"] == 2
 
-    def test_bfs_sharing_accepts_chunk_size(self, capsys, tmp_path):
+    def test_bfs_sharing_ignores_the_chunk_size(
+        self, capsys, tmp_path, monkeypatch
+    ):
         path = self._write_queries(tmp_path, "0 5 200\n")
         assert self._run(path, "--method", "bfs_sharing") == 0
         default = json.loads(capsys.readouterr().out)
-        assert self._run(
-            path, "--method", "bfs_sharing", "--chunk-size", "64"
-        ) == 0
+        monkeypatch.setattr(service_module, "DEFAULT_CHUNK_SIZE", 64)
+        assert self._run(path, "--method", "bfs_sharing") == 0
         chunked = json.loads(capsys.readouterr().out)
         assert [r["estimate"] for r in default["results"]] == [
             r["estimate"] for r in chunked["results"]
