@@ -47,7 +47,6 @@ from repro.core.registry import (
     create_estimator,
     estimator_class,
     estimator_keys,
-    register_estimator,
 )
 
 __version__ = "1.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "create_estimator",
     "estimator_class",
     "estimator_keys",
-    "register_estimator",
     "ReliabilityService",
     "ReliabilityError",
     "UnknownEstimatorError",

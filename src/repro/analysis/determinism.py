@@ -84,7 +84,7 @@ def _check_global_rng(source: SourceFile) -> List[Finding]:
                 node,
                 D101,
                 f"global-state RNG call `{name}`; derive a Generator via "
-                "`repro.util.rng` (stable_substream / spawn_generators) instead",
+                "`repro.util.rng.stable_substream` instead",
             )
             if finding is not None:
                 findings.append(finding)

@@ -80,7 +80,6 @@ from repro.api.types import (
     QuerySpec,
     RecommendRequest,
     RecommendResponse,
-    ResolvedQuery,
     ShardRunRequest,
     ShardRunResponse,
     TopKRequest,
@@ -91,7 +90,7 @@ from repro.api.types import (
     WarmResponse,
 )
 from repro.core.bounds import reliability_bounds
-from repro.core.estimators.base import Estimator
+from repro.core.estimators.base import BatchQuery, Estimator
 from repro.core.graph import UncertainGraph
 from repro.core.mutation import apply_update
 from repro.core.recommend import recommend_estimator
@@ -186,7 +185,7 @@ class ReliabilityService:
                 f"got {type(graph).__name__}"
             )
         self.graph = graph  # guarded-by: _prepare_lock
-        self.seed = int(seed)
+        self.seed = self._check_seed(seed)
         self.dataset = dataset  # a suite Dataset, or None for raw graphs
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self._check_positive(workers, "workers")
@@ -255,6 +254,7 @@ class ReliabilityService:
         """
         from repro.datasets.suite import load_dataset
 
+        cls._check_seed(seed)
         try:
             loaded = load_dataset(dataset, scale, seed)
         except KeyError as error:
@@ -397,21 +397,37 @@ class ReliabilityService:
                 f"{prefix}{name} must be a positive integer, got {value}"
             )
 
+    @classmethod
+    def _check_samples(cls, value, context: str = "") -> None:
+        cls._check_positive(value, "samples", context)
+        # The planner and the engine hold budgets in int64 arrays.
+        if value is not None and int(value) >= 2**63:
+            prefix = f"{context}: " if context else ""
+            raise InvalidQueryError(f"{prefix}samples must be below 2**63, got {value}")
+
+    @staticmethod
+    def _check_seed(seed) -> int:
+        # Any non-negative integer roots a world stream (the sidecar
+        # stores seeds as text, so 2**63 and above work too).
+        if int(seed) < 0:
+            raise InvalidQueryError(f"seed must be a non-negative integer, got {seed}")
+        return int(seed)
+
     def resolve_queries(
         self,
         queries: Tuple[QuerySpec, ...],
         default_samples: int,
         default_max_hops: Optional[int] = None,
-    ) -> List[ResolvedQuery]:
+    ) -> List[BatchQuery]:
         """Apply workload defaults and validate every entry up front.
 
         The engine validates too, but deep in the sweep and without
         workload context; failing here turns "ValueError from
         plan_queries" into "which query of your request is wrong".
         """
-        self._check_positive(default_samples, "samples")
+        self._check_samples(default_samples)
         self._check_positive(default_max_hops, "max_hops")
-        resolved: List[ResolvedQuery] = []
+        resolved: List[BatchQuery] = []
         for position, spec in enumerate(queries):
             context = f"query {position}"
             samples = (
@@ -422,15 +438,15 @@ class ReliabilityService:
             )
             self._check_node(spec.source, "source", context)
             self._check_node(spec.target, "target", context)
-            self._check_positive(samples, "samples", context)
+            self._check_samples(samples, context)
             self._check_positive(max_hops, "max_hops", context)
             resolved.append(
-                (int(spec.source), int(spec.target), int(samples), max_hops)
+                BatchQuery(int(spec.source), int(spec.target), int(samples), max_hops)
             )
         return resolved
 
     def _resolve_seed(self, seed: Optional[int]) -> int:
-        return self.seed if seed is None else int(seed)
+        return self.seed if seed is None else self._check_seed(seed)
 
     def _count(self, endpoint: str) -> None:
         # The micro-lock makes the read-modify-write atomic; it is never
@@ -578,7 +594,7 @@ class ReliabilityService:
         cls = self._estimator_class(request.method)
         self._check_node(request.source, "source")
         self._check_node(request.target, "target")
-        self._check_positive(request.samples, "samples")
+        self._check_samples(request.samples)
         seed = self._resolve_seed(request.seed)
         rng = stable_substream(seed, request.source, request.target)
         if cls.uses_index and seed != self.seed:
@@ -639,8 +655,8 @@ class ReliabilityService:
             request.method == AUTO_METHOD
             or cls.batch_path_of(request.method) == "engine"
         )
-        for name in ("samples", "max_hops"):
-            cls._check_positive(getattr(request, name), name)
+        cls._check_samples(request.samples)
+        cls._check_positive(request.max_hops, "max_hops")
         if not engine_backed and (
             request.max_hops is not None
             or any(spec.max_hops is not None for spec in request.queries)
@@ -847,6 +863,7 @@ class ReliabilityService:
         counts are not estimates and have no cache identity.  Caching
         happens once, at the coordinator, after the exact merge.
         """
+        seed = self._check_seed(request.seed)
         graph = self.graph
         fingerprint = graph_fingerprint(graph)
         if request.fingerprint != fingerprint:
@@ -870,7 +887,7 @@ class ReliabilityService:
         # needed.  Its chunk size is the coordinator's partitioning grain.
         engine = BatchEngine(
             graph,
-            seed=int(request.seed),
+            seed=seed,
             chunk_size=DEFAULT_CHUNK_SIZE,
             workers=1,
             cache_capacity=1,
@@ -971,7 +988,7 @@ class ReliabilityService:
         )
 
     def _record_queries(
-        self, queries: List[ResolvedQuery], seed: int
+        self, queries: List[BatchQuery], seed: int
     ) -> None:
         """Count engine-served keys for later :meth:`rewarm` replay.
 
@@ -1058,12 +1075,13 @@ class ReliabilityService:
         The source's all-targets row of the engine's world stream at the
         request's seed, ranked: every reliability equals the
         ``/v1/batch`` estimate of ``(source, node, samples)`` at that
-        seed, bit for bit.  BFS Sharing's index is a transposed chunk of
-        that same stream (paper §2.3), so no method is there to choose.
+        seed, bit for bit.  BFS Sharing's batch path sweeps transposed
+        chunks of that same stream (paper §2.3), so no method is there to
+        choose; only its per-query index draws words of its own.
         """
         self._check_node(request.source, "source")
         self._check_positive(request.k, "k")
-        self._check_positive(request.samples, "samples")
+        self._check_samples(request.samples)
         seed = self._resolve_seed(request.seed)
         # A per-request engine sweeping inline (run_range): nothing
         # shared is written, so no lock.
@@ -1108,7 +1126,7 @@ class ReliabilityService:
         loading any dataset — and without the measured evidence the
         instance-level :meth:`recommend` layers on top.
         """
-        cls._check_positive(request.samples, "samples")
+        cls._check_samples(request.samples)
         cls._check_positive(request.max_hops, "max_hops")
         recommendation = recommend_estimator(
             memory_limited=request.memory_limited,
@@ -1134,7 +1152,7 @@ class ReliabilityService:
         evidence behind it.  The static ranking follows the router's
         pick as backups, demoted for any index a live update dropped.
         """
-        self._check_positive(request.samples, "samples")
+        self._check_samples(request.samples)
         self._check_positive(request.max_hops, "max_hops")
         fingerprint = graph_fingerprint(self.graph)
         decision = self._route(

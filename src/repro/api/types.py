@@ -45,9 +45,6 @@ from typing import (
 
 from repro.api.errors import InvalidQueryError
 
-#: A fully resolved workload entry: ``(source, target, samples, max_hops)``.
-ResolvedQuery = Tuple[int, int, int, Optional[int]]
-
 #: The JSON scalar kinds, and how an error message names each.
 _SCALARS = {
     int: "an integer",
@@ -742,7 +739,6 @@ ENDPOINT_TABLE: Tuple[Endpoint, ...] = (
 
 
 __all__ = [
-    "ResolvedQuery",
     "Wire",
     "QuerySpec",
     "coerce_query_specs",

@@ -17,7 +17,6 @@ from repro.core.registry import (
     create_estimator,
     estimator_class,
     estimator_keys,
-    register_estimator,
 )
 from repro.core.recommend import recommend_estimator
 
@@ -35,6 +34,5 @@ __all__ = [
     "create_estimator",
     "estimator_class",
     "estimator_keys",
-    "register_estimator",
     "recommend_estimator",
 ]

@@ -11,7 +11,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ClassVar,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -25,44 +35,74 @@ from repro.util.validation import check_node, check_positive
 #: ``(seed, pair, repeat, K)`` cells, or the engine's world stream).
 _BATCH_STREAM = 0x42
 
-#: A coerced workload entry: ``(source, target, samples, max_hops)``.
-WorkloadEntry = Tuple[int, int, int, Optional[int]]
-
 #: ``engine(graph, seed=...) -> BatchEngine``: how a batch fast path
 #: obtains its engine (see :func:`run_engine_batch`).
 EngineFactory = Callable[..., object]
 
 
+class BatchQuery(NamedTuple):
+    """One s-t reliability query with its sample budget ``K``.
+
+    ``max_hops`` turns the query into the *distance-constrained* d-hop
+    reliability of §2.9: "does ``source`` reach ``target`` within
+    ``max_hops`` edges?"; ``None`` means plain (unbounded) reliability.
+    The one query type of every layer — estimators, the batch engine and
+    the service — stated here because core must not import upward into
+    engine (see ``docs/architecture.md``).
+    """
+
+    source: int
+    target: int
+    samples: int
+    max_hops: Optional[int] = None
+
+
+QueryLike = Union[BatchQuery, Tuple[int, int, int], Sequence[int]]
+
+
+def as_query(item: QueryLike) -> BatchQuery:
+    """Coerce a raw workload item into a :class:`BatchQuery`.
+
+    Accepts 3-tuples ``(source, target, samples)`` and 4-tuples with a
+    trailing hop bound (``None`` for unbounded).
+    """
+    if isinstance(item, BatchQuery):
+        return item
+    parts = tuple(item)
+    if len(parts) == 3:
+        source, target, samples = parts
+        max_hops: Optional[int] = None
+    elif len(parts) == 4:
+        source, target, samples, max_hops = parts
+    else:
+        raise ValueError(
+            f"a query is (source, target, samples[, max_hops]), got {item!r}"
+        )
+    return BatchQuery(
+        int(source),
+        int(target),
+        int(samples),
+        None if max_hops is None else int(max_hops),
+    )
+
+
 def coerce_batch_queries(
-    queries: Iterable[Sequence[int]],
+    queries: Iterable[QueryLike],
     *,
     estimator_name: str,
     allow_hops: bool,
     hops_reason: Optional[str] = None,
-) -> List[WorkloadEntry]:
-    """Normalise a raw workload into ``(source, target, K, max_hops)``.
+) -> List[BatchQuery]:
+    """:func:`as_query` over a workload, plus the hop-bound rule.
 
-    Shared by every ``estimate_batch`` implementation so they agree on
-    what a query *is*.  Coerced here rather than via
-    ``repro.engine.plan.as_query``: core must not import upward into
-    engine (see ``docs/architecture.md``).  Estimators without a
-    hop-bounded sweep reject ``max_hops`` outright (``allow_hops=False``)
-    instead of silently answering the unbounded query; ``hops_reason``
-    lets them explain *why* in the error.
+    Estimators without a hop-bounded sweep reject ``max_hops`` outright
+    (``allow_hops=False``) instead of silently answering the unbounded
+    query; ``hops_reason`` lets them explain *why* in the error.
     """
-    workload: List[WorkloadEntry] = []
-    for query in queries:
-        parts = tuple(query)
-        if len(parts) == 3:
-            max_hops: Optional[int] = None
-        elif len(parts) == 4:
-            max_hops = parts[3]
-        else:
-            raise ValueError(
-                f"a query is (source, target, samples[, max_hops]), "
-                f"got {query!r}"
-            )
-        if max_hops is not None and not allow_hops:
+    workload: List[BatchQuery] = []
+    for item in queries:
+        query = as_query(item)
+        if query.max_hops is not None and not allow_hops:
             raise NotImplementedError(
                 f"{estimator_name} has no d-hop batch fast path; "
                 + (
@@ -72,14 +112,7 @@ def coerce_batch_queries(
                     "estimator, or repro.engine.BatchEngine directly"
                 )
             )
-        workload.append(
-            (
-                int(parts[0]),
-                int(parts[1]),
-                int(parts[2]),
-                None if max_hops is None else int(max_hops),
-            )
-        )
+        workload.append(query)
     return workload
 
 
@@ -102,8 +135,8 @@ def run_engine_batch(
 
     ``engine`` is the one engine option of this layer: a factory
     ``engine(graph, seed=...) -> BatchEngine``.  Whoever owns a result
-    cache, a range evaluator, a kernel choice or a worker count —
-    a :class:`~repro.api.service.ReliabilityService` — configures them
+    cache, a range evaluator or a worker count — a
+    :class:`~repro.api.service.ReliabilityService` — configures them
     there; without one the workload runs on a plain default engine.
 
     With ``seed=None`` the world-stream root is drawn from the
@@ -137,13 +170,6 @@ class QueryStatistics:
     nodes_expanded: int = 0
     recursion_depth: int = 0
     fallback_calls: int = 0
-
-    def merge(self, other: "QueryStatistics") -> None:
-        self.samples_requested += other.samples_requested
-        self.edges_probed += other.edges_probed
-        self.nodes_expanded += other.nodes_expanded
-        self.recursion_depth = max(self.recursion_depth, other.recursion_depth)
-        self.fallback_calls += other.fallback_calls
 
 
 class Estimator(abc.ABC):
@@ -361,10 +387,12 @@ class Estimator(abc.ABC):
 
 
 __all__ = [
+    "BatchQuery",
     "EngineFactory",
     "Estimator",
+    "QueryLike",
     "QueryStatistics",
-    "WorkloadEntry",
+    "as_query",
     "coerce_batch_queries",
     "run_engine_batch",
 ]

@@ -70,10 +70,10 @@ def shared_reachability_fixpoint(
     frontier's vectors, so a bit advances exactly one edge per round
     (per-world BFS levels, bitwise in parallel).
 
-    Factored out of :class:`BFSSharingEstimator` so the batch engine
-    (:mod:`repro.engine.batch`) can run the same kernel over *chunks* of
-    its deterministic world stream — one fixpoint answers up to 64 worlds
-    per word for every target of a source at once.
+    The per-node reference schedule: the served sweeps (the batch engine
+    and :meth:`BFSSharingEstimator.reachability_bits`) run
+    :func:`repro.engine.kernels.shared_fixpoint_vectorized`, which equals
+    this bit for bit; ``BatchEngine(kernels="python")`` runs this one.
     """
     words = edge_bits.shape[1]
     if bitset.packed_words(bit_count) != words:
@@ -82,7 +82,7 @@ def shared_reachability_fixpoint(
             f"words, edge bits carry {words}"
         )
     node_bits = np.zeros((graph.node_count, words), dtype=np.uint64)
-    node_bits[source] = bitset.full_row(bit_count)
+    node_bits[source] = bitset.prefix_mask(bit_count, words)
     indptr, targets = graph.indptr, graph.targets
     edges_probed = 0
 
@@ -360,14 +360,14 @@ class BFSSharingEstimator(Estimator):
         (``O(Km)`` resident memory) and walking it once per query, the
         batch path streams the engine's deterministic world chunks, packs
         each chunk into this module's edge bit-matrix layout
-        (``bitset.pack_bool_matrix``), and runs this module's
-        :func:`shared_reachability_fixpoint` **once per distinct source
-        per chunk** — one pack resolving every (target, world) pair of
-        that source's queries at once, with per-query budgets applied as
-        prefix masks.  That is Algorithms 2-3 at workload granularity:
-        one online traversal now answers all of a source's queries, not
-        just all of one query's worlds, and resident memory stays
-        ``O(chunk_size * m)`` bits however large K grows.
+        (``bitset.pack_bool_matrix``), and runs the vectorized fixpoint
+        (:func:`repro.engine.kernels.shared_fixpoint_vectorized`) **once
+        per distinct source per chunk** — one pack resolving every
+        (target, world) pair of that source's queries at once, with
+        per-query budgets applied as prefix masks.  That is Algorithms 2-3
+        at workload granularity: one online traversal now answers all of a
+        source's queries, not just all of one query's worlds, and resident
+        memory stays ``O(chunk_size * m)`` bits however large K grows.
 
         Because the worlds come from the engine's index-keyed stream, the
         estimates are **bit-identical** to ``mc``'s engine path and to the

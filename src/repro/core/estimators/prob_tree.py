@@ -61,7 +61,8 @@ from repro.core.estimators.monte_carlo import MonteCarloEstimator
 from repro.core.graph import UncertainGraph, or_combine
 from repro.util.rng import SeedLike
 
-DEFAULT_WIDTH = 2  # the paper's lossless setting
+#: Bag boundary width ``w``: the paper's lossless setting, fixed.
+WIDTH = 2
 
 #: Bound on cached lifted query graphs.  Lift keys are (bag,
 #: bag) pairs, which real workloads reuse heavily (hot sources/targets
@@ -104,16 +105,32 @@ class Bag:
         return len(self.edges)
 
 
+def _derived_edges(bag: Bag) -> Dict[Tuple[int, int], float]:
+    """The derived edges between a two-node boundary, from absorbed edges.
+
+    Each direction ``x -> y`` gets the OR of the direct edge and the
+    two-hop path through the covered node; zero values are dropped.
+    """
+    absorbed = {(a, b): p for a, b, p, _ in bag.edges}
+    v = bag.covered
+    values: Dict[Tuple[int, int], float] = {}
+    a, b = bag.boundary
+    for x, y in ((a, b), (b, a)):
+        through = 0.0
+        if (x, v) in absorbed and (v, y) in absorbed:
+            through = absorbed[(x, v)] * absorbed[(v, y)]
+        direct = absorbed.get((x, y), 0.0)
+        combined = or_combine(direct, through) if direct else through
+        if combined > 0.0:
+            values[(x, y)] = combined
+    return values
+
+
 class FWDProbTreeIndex:
     """The offline FWD index: bags, parent links, and the root graph."""
 
-    def __init__(self, graph: UncertainGraph, width: int = DEFAULT_WIDTH) -> None:
-        if width < 1 or width > 2:
-            raise ValueError(
-                f"width must be 1 or 2 (lossless range per the paper), got {width}"
-            )
+    def __init__(self, graph: UncertainGraph) -> None:
         self.graph = graph
-        self.width = width
         self.bags: List[Bag] = []
         self.bag_of_covered: Dict[int, int] = {}
         self.root_nodes: Set[int] = set()
@@ -138,7 +155,7 @@ class FWDProbTreeIndex:
         # Lazy min-degree candidate queue: nodes enter whenever their degree
         # drops to <= width; stale entries are re-checked on pop.
         candidates = [
-            v for v in range(graph.node_count) if 1 <= len(skeleton[v]) <= self.width
+            v for v in range(graph.node_count) if 1 <= len(skeleton[v]) <= WIDTH
         ]
         head = 0
         while head < len(candidates):
@@ -147,7 +164,7 @@ class FWDProbTreeIndex:
             if not alive[v]:
                 continue
             degree = len(skeleton[v])
-            if degree == 0 or degree > self.width:
+            if degree == 0 or degree > WIDTH:
                 continue
             self._eliminate(v, skeleton, pool, alive, candidates)
 
@@ -192,17 +209,9 @@ class FWDProbTreeIndex:
 
         # Derived edges between the (at most two) boundary nodes.
         if len(neighbors) == 2:
-            absorbed = {(a, b): p for a, b, p, _ in bag_edges}
-            a, b = neighbors
-            for x, y in ((a, b), (b, a)):
-                through = 0.0
-                if (x, v) in absorbed and (v, y) in absorbed:
-                    through = absorbed[(x, v)] * absorbed[(v, y)]
-                direct = absorbed.get((x, y), 0.0)
-                combined = or_combine(direct, through) if direct else through
-                if combined > 0.0:
-                    # Fresh insert: any previous (x, y) edge was absorbed above.
-                    pool[(x, y)] = (combined, bag_id)
+            for pair, p in _derived_edges(bag).items():
+                # Fresh insert: any previous (x, y) edge was absorbed above.
+                pool[pair] = (p, bag_id)
 
         # Update the skeleton: remove v, clique its neighbors (Alg. 7 line 11).
         for u in neighbors:
@@ -214,7 +223,7 @@ class FWDProbTreeIndex:
         del skeleton[v]
         alive[v] = False
         for u in neighbors:
-            if 1 <= len(skeleton[u]) <= self.width:
+            if 1 <= len(skeleton[u]) <= WIDTH:
                 candidates.append(u)
 
     def _assign_parents(self) -> None:
@@ -286,9 +295,7 @@ class FWDProbTreeIndex:
             self.bag_of_covered.get(target, ROOT_BAG),
         )
 
-    def lifted_graph(
-        self, key: Tuple[int, int]
-    ) -> Tuple[UncertainGraph, Dict[int, int]]:
+    def lifted_graph(self, key: Tuple[int, int]) -> LiftedEntry:
         """Assemble the equivalent graph for a :meth:`lift_key` pair.
 
         Returns ``(graph, node_map)`` where ``node_map`` sends original
@@ -367,9 +374,9 @@ class FWDProbTreeIndex:
         pure function of that bag's absorbed edges — so the update walks
         containers bottom-up (ascending bag id, children strictly before
         parents, root last), rewrites touched original edges, recomputes
-        the derived edges of every dirtied bag with the exact
-        :meth:`_eliminate` formula, and splices the new values into the
-        parent, dirtying it in turn.  The result is **bit-identical** to
+        the derived edges of every dirtied bag with :func:`_derived_edges`
+        (the formula :meth:`_eliminate` uses), splices the new values into
+        the parent, and dirties it in turn.  The result is **bit-identical** to
         a fresh build over the updated graph (pinned by the update
         conformance suite); bags nowhere on a touched edge's lift chain
         are never visited.
@@ -402,29 +409,7 @@ class FWDProbTreeIndex:
                 continue
             relifted += 1
             if len(bag.boundary) == 2:
-                # The exact derivation of _eliminate over the updated
-                # absorbed edges: OR of the direct edge and the two-hop
-                # path through the covered node.
-                absorbed = {(a, b): p for a, b, p, _ in bag.edges}
-                a, b = bag.boundary
-                values: Dict[Tuple[int, int], float] = {}
-                for x, y in ((a, b), (b, a)):
-                    through = 0.0
-                    if (x, bag.covered) in absorbed and (
-                        bag.covered,
-                        y,
-                    ) in absorbed:
-                        through = (
-                            absorbed[(x, bag.covered)]
-                            * absorbed[(bag.covered, y)]
-                        )
-                    direct = absorbed.get((x, y), 0.0)
-                    combined = (
-                        or_combine(direct, through) if direct else through
-                    )
-                    if combined > 0.0:
-                        values[(x, y)] = combined
-                derived_new[bag.bag_id] = values
+                derived_new[bag.bag_id] = _derived_edges(bag)
         refresh(self.root_edges)
         return relifted
 
@@ -466,7 +451,6 @@ class FWDProbTreeIndex:
     def save(self, path: Union[str, Path]) -> None:
         """Persist the index (enables the Fig. 13c load benchmark)."""
         payload = {
-            "width": self.width,
             "bags": [
                 (b.bag_id, b.covered, b.nodes, b.boundary, b.edges, b.parent)
                 for b in self.bags
@@ -483,7 +467,6 @@ class FWDProbTreeIndex:
             payload = pickle.load(handle)
         index = cls.__new__(cls)
         index.graph = graph
-        index.width = payload["width"]
         index.bags = [
             Bag(bag_id, covered, nodes, boundary, edges, parent)
             for bag_id, covered, nodes, boundary, edges, parent in payload["bags"]
@@ -512,17 +495,15 @@ def _grouped_report(workload, estimates, seed: int, reports):
 
     Counters add up across groups; cache provenance and the fingerprint
     belong to the lifted graphs, not to this workload, and stay unset.
+    The result type is the inner reports' own, so core names no engine
+    class here.
     """
-    # Imported lazily, like run_engine_batch: core reaches up only at
-    # call time.
-    from repro.engine.batch import BatchResult
-    from repro.engine.plan import BatchQuery
 
     def total(counter: str):
         return sum(getattr(report, counter) for report in reports)
 
-    return BatchResult(
-        queries=tuple(BatchQuery(*entry) for entry in workload),
+    return type(reports[0])(
+        queries=tuple(workload),
         estimates=estimates,
         seed=seed,
         worlds_sampled=total("worlds_sampled"),
@@ -551,12 +532,10 @@ class ProbTreeEstimator(Estimator):
         self,
         graph: UncertainGraph,
         *,
-        width: int = DEFAULT_WIDTH,
         estimator_factory: Optional[EstimatorFactory] = None,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(graph, seed=seed)
-        self.width = width
         self.estimator_factory = estimator_factory or MonteCarloEstimator
         self._index: Optional[FWDProbTreeIndex] = None
         self._last_query_graph: Optional[UncertainGraph] = None
@@ -568,7 +547,7 @@ class ProbTreeEstimator(Estimator):
         #: pure function of the (immutable) index and the key, so reuse
         #: is exact.  Shared by the per-query and batch paths; cleared
         #: whenever the index is (re)built.
-        self._lift_cache: "OrderedDict[Tuple[int, int], LiftedEntry]" = (
+        self._lift_cache: OrderedDict[Tuple[int, int], LiftedEntry] = (
             OrderedDict()
         )
         self.lift_cache_hits = 0
@@ -587,7 +566,7 @@ class ProbTreeEstimator(Estimator):
 
     def prepare(self) -> None:
         """Build the FWD index (linear-time offline phase, Fig. 13a)."""
-        self._index = FWDProbTreeIndex(self.graph, self.width)
+        self._index = FWDProbTreeIndex(self.graph)
         self._lift_cache.clear()
 
     def attach_index(self, index: FWDProbTreeIndex) -> None:
@@ -595,7 +574,6 @@ class ProbTreeEstimator(Estimator):
         if index.graph is not self.graph:
             raise ValueError("index was built for a different graph instance")
         self._index = index
-        self.width = index.width
         self._lift_cache.clear()
 
     def apply_update(self, graph, *, touched_edges=(), structural=False):
@@ -630,9 +608,7 @@ class ProbTreeEstimator(Estimator):
         self._index.graph = graph
         return "incremental"
 
-    def lifted_graph(
-        self, key: Tuple[int, int]
-    ) -> Tuple[UncertainGraph, Dict[int, int]]:
+    def lifted_graph(self, key: Tuple[int, int]) -> LiftedEntry:
         """The assembled query graph for a lift key, LRU-cached.
 
         Both query paths go through here: the per-query Alg. 8 walk and
@@ -790,6 +766,6 @@ __all__ = [
     "FWDProbTreeIndex",
     "ProbTreeEstimator",
     "DEFAULT_LIFT_CACHE_CAPACITY",
-    "DEFAULT_WIDTH",
+    "WIDTH",
     "ROOT_BAG",
 ]

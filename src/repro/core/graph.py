@@ -20,8 +20,7 @@ Construction notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,29 +137,16 @@ class UncertainGraph:
     # Basic accessors
     # ------------------------------------------------------------------
 
-    def out_edges(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(targets, probabilities)`` views of ``node``'s out-edges."""
-        start, stop = self.indptr[node], self.indptr[node + 1]
-        return self.targets[start:stop], self.probs[start:stop]
-
-    def out_edge_ids(self, node: int) -> range:
-        """CSR edge-id range of ``node``'s out-edges."""
-        return range(int(self.indptr[node]), int(self.indptr[node + 1]))
-
     def out_degree(self, node: int) -> int:
         return int(self.indptr[node + 1] - self.indptr[node])
-
-    def edge_source(self, edge_id: int) -> int:
-        """Source node of a CSR edge id."""
-        return int(self._edge_sources[edge_id])
 
     @property
     def edge_sources(self) -> np.ndarray:
         """Per-edge source nodes aligned with :attr:`targets` (read-only).
 
-        The vectorised counterpart of :meth:`edge_source`, for consumers
-        that need whole-edge-set views — e.g. the importance sampler's
-        occurrence counts and the BFS-stratified sampler's edge ordering.
+        For consumers that need whole-edge-set views — e.g. the importance
+        sampler's occurrence counts and the BFS-stratified sampler's edge
+        ordering.
         Treat it as immutable: it is the CSR backing array, not a copy.
         """
         return self._edge_sources
@@ -259,31 +245,6 @@ class UncertainGraph:
         return total
 
     # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist to ``.npz`` (portable, exact)."""
-        np.savez_compressed(
-            Path(path),
-            node_count=np.int64(self.node_count),
-            sources=self._edge_sources,
-            targets=self.targets,
-            probs=self.probs,
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "UncertainGraph":
-        """Load a graph previously written with :meth:`save`."""
-        with np.load(Path(path)) as data:
-            return cls.from_edge_arrays(
-                int(data["node_count"]),
-                data["sources"],
-                data["targets"],
-                data["probs"],
-            )
-
-    # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
 
@@ -320,12 +281,6 @@ class GraphBuilder:
     def __init__(self, node_count: int = 0) -> None:
         self._node_count = int(node_count)
         self._edges: List[EdgeTriple] = []
-
-    def add_node(self) -> int:
-        """Allocate and return a fresh node id."""
-        node = self._node_count
-        self._node_count += 1
-        return node
 
     def add_edge(self, source: int, target: int, probability: float) -> None:
         """Add a directed probabilistic edge, growing the node space."""

@@ -51,12 +51,6 @@ PAPER_ESTIMATORS: List[str] = [
     "rss",
 ]
 
-#: Methods with an offline index phase (paper §3.7).
-INDEXED_ESTIMATORS: List[str] = ["bfs_sharing", "prob_tree"]
-
-#: Recursive (variance-reduced) estimators (paper §2.4-2.5).
-RECURSIVE_ESTIMATORS: List[str] = ["rhh", "rss"]
-
 #: The post-paper variance-reduction sampler family (ROADMAP: importance
 #: sampling with calibrated occurrence counts, BFS-distance strata).
 #: Not part of :data:`PAPER_ESTIMATORS` — the paper's six-method study is
@@ -89,20 +83,6 @@ def create_estimator(key: str, graph: UncertainGraph, **options) -> Estimator:
     return estimator_class(key)(graph, **options)
 
 
-def register_estimator(cls: Type[Estimator]) -> Type[Estimator]:
-    """Register a custom estimator class (usable as a decorator).
-
-    Extension hook: downstream users can plug in their own estimators and
-    reuse the full convergence/benchmark harness unchanged.
-    """
-    if not cls.key:
-        raise ValueError(f"{cls.__name__} must define a non-empty `key`")
-    if cls.key in _REGISTRY and _REGISTRY[cls.key] is not cls:
-        raise ValueError(f"estimator key {cls.key!r} is already registered")
-    _REGISTRY[cls.key] = cls
-    return cls
-
-
 def display_name(key: str) -> str:
     """Human-readable estimator name (as printed in the paper's tables)."""
     return estimator_class(key).display_name
@@ -110,12 +90,9 @@ def display_name(key: str) -> str:
 
 __all__ = [
     "PAPER_ESTIMATORS",
-    "INDEXED_ESTIMATORS",
-    "RECURSIVE_ESTIMATORS",
     "VARIANCE_SAMPLERS",
     "estimator_keys",
     "estimator_class",
     "create_estimator",
-    "register_estimator",
     "display_name",
 ]

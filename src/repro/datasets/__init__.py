@@ -12,7 +12,6 @@ from repro.datasets.suite import (
 from repro.datasets.queries import (
     QueryWorkload,
     WorkloadError,
-    distance_sweep_workloads,
     generate_workload,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "load_dataset",
     "QueryWorkload",
     "WorkloadError",
-    "distance_sweep_workloads",
     "generate_workload",
 ]

@@ -2,17 +2,16 @@
 
 The paper evaluates every estimator on the *same* 100 s-t pairs per dataset:
 100 distinct sources drawn uniformly, each paired with a target picked
-uniformly among the nodes exactly 2 BFS hops away.  §3.9 additionally sweeps
-the hop distance h in {2, 4, 6, 8}.  Both protocols are implemented here,
-with deterministic seeding so a workload can be shared across estimators,
-processes and runs.
+uniformly among the nodes exactly 2 BFS hops away; §3.9's sweep over the hop
+distance h in {2, 4, 6, 8} calls the same generator once per h.  Seeding is
+deterministic, so a workload can be shared across estimators, processes
+and runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -39,27 +38,6 @@ class QueryWorkload:
 
     def __iter__(self):
         return iter(self.pairs)
-
-    def save(self, path: Union[str, Path]) -> None:
-        array = np.asarray(self.pairs, dtype=np.int64)
-        np.savez_compressed(
-            Path(path),
-            pairs=array,
-            hop_distance=np.int64(self.hop_distance),
-            seed=np.int64(self.seed),
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "QueryWorkload":
-        with np.load(Path(path)) as data:
-            pairs = tuple(
-                (int(u), int(v)) for u, v in data["pairs"].tolist()
-            )
-            return cls(
-                pairs=pairs,
-                hop_distance=int(data["hop_distance"]),
-                seed=int(data["seed"]),
-            )
 
 
 def generate_workload(
@@ -111,27 +89,9 @@ def generate_workload(
     )
 
 
-def distance_sweep_workloads(
-    graph: UncertainGraph,
-    pair_count: int,
-    hop_distances: Tuple[int, ...] = (2, 4, 6, 8),
-    seed: SeedLike = 0,
-) -> dict:
-    """One workload per hop distance (paper §3.9 sensitivity analysis)."""
-    rng = ensure_generator(seed)
-    workloads = {}
-    for distance in hop_distances:
-        sub_seed = int(rng.integers(2**31))
-        workloads[distance] = generate_workload(
-            graph, pair_count, distance, seed=sub_seed
-        )
-    return workloads
-
-
 __all__ = [
     "DEFAULT_HOP_DISTANCE",
     "QueryWorkload",
     "WorkloadError",
     "generate_workload",
-    "distance_sweep_workloads",
 ]

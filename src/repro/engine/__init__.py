@@ -25,7 +25,8 @@ from repro.engine.cache import (
     open_result_cache,
     result_key,
 )
-from repro.engine.plan import BatchQuery, QueryPlan, plan_queries
+from repro.core.estimators.base import BatchQuery
+from repro.engine.plan import QueryPlan, plan_queries
 from repro.engine.pool import PoolClosedError, WorkerPool, shared_pool
 
 __all__ = [

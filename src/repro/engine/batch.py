@@ -31,13 +31,13 @@ World ``i`` is a pure function of ``(graph, seed, i)`` — see
   max_hops)`` — see :mod:`repro.engine.cache` — because nothing else
   enters the value.
 
-Distance-constrained workloads (§2.9): a :class:`~repro.engine.plan.
-BatchQuery` may carry ``max_hops``, in which case its indicator becomes
+Distance-constrained workloads (§2.9): a :class:`~repro.core.estimators.
+base.BatchQuery` may carry ``max_hops``, in which case its indicator becomes
 "reaches within ``max_hops`` edges".  The planner groups queries by
 ``(source, max_hops)`` and the sweep bounds its walk (the
 level-synchronous mode of
-:func:`~repro.core.estimators.bfs_sharing.shared_reachability_fixpoint`),
-so d-hop and plain queries are served from one world stream.
+:func:`~repro.engine.kernels.shared_fixpoint_vectorized`), so d-hop and
+plain queries are served from one world stream.
 
 The sweep: each chunk of worlds is packed into the uint64 bit-matrix
 layout of BFS Sharing (§2.3) and one dataflow fixpoint per distinct
@@ -58,6 +58,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.estimators.base import BatchQuery, QueryLike
 from repro.core.estimators.bfs_sharing import shared_reachability_fixpoint
 from repro.core.graph import UncertainGraph
 from repro.core.possible_world import (
@@ -72,7 +73,7 @@ from repro.engine.cache import (
     result_key,
 )
 from repro.engine.kernels import KERNEL_MODES, shared_fixpoint_vectorized
-from repro.engine.plan import BatchQuery, QueryLike, plan_queries
+from repro.engine.plan import plan_queries
 from repro.util import bitset
 from repro.util.rng import stable_substream
 from repro.util.validation import check_positive

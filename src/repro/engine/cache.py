@@ -31,14 +31,14 @@ Thread safety
 Both caches are safe to share across threads: every public method runs
 under one internal lock, so concurrent engines (the serving layer runs
 one engine per HTTP request against the service's shared cache) can get,
-put, and read statistics without corrupting the LRU order or overlapping
+write, and read statistics without corrupting the LRU order or overlapping
 statements on the shared SQLite connection.  The lock is held for memory
 operations and SQLite statement batches (at most one ``put_many``
 transaction) — never while sampling worlds — so it serialises
 bookkeeping and result I/O, not computation.
 Exactness makes write races benign by construction: two threads that
-miss the same key compute the *same* float, so whichever ``put`` lands
-last changes nothing.
+miss the same key compute the *same* float, so whichever ``put_many``
+lands last changes nothing.
 
 Write batching — two different knobs, one transaction discipline:
 
@@ -149,9 +149,10 @@ def result_key(
 class ResultCache:
     """A bounded LRU cache of batch-engine estimates.
 
-    ``get`` promotes hits to most-recently-used; ``put`` evicts the least
-    recently used entry once ``capacity`` is exceeded.  Hit/miss counters
-    feed the engine's :class:`~repro.engine.batch.BatchResult` report.
+    ``get`` promotes hits to most-recently-used; ``put_many`` evicts the
+    least recently used entries once ``capacity`` is exceeded.  Hit/miss
+    counters feed the engine's :class:`~repro.engine.batch.BatchResult`
+    report.
 
     Safe for concurrent use: one internal lock covers every public
     method, so threads sharing a cache can never corrupt the LRU order
@@ -184,11 +185,6 @@ class ResultCache:
         """Return the cached estimate for ``key`` or ``None`` (counted)."""
         with self._lock:
             return self._get_locked(key)
-
-    def put(self, key: ResultKey, value: float) -> None:
-        """Insert (or refresh) ``key``, evicting LRU entries past capacity."""
-        with self._lock:
-            self._put_locked(key, value)
 
     def put_many(self, items: Iterable[Tuple[ResultKey, float]]) -> None:
         """Insert a batch of results under one lock acquisition.
@@ -265,8 +261,8 @@ class PersistentResultCache(ResultCache):
 
     Layered lookup: the in-memory LRU first (free), then the sidecar (one
     indexed SELECT); disk hits are promoted into memory.  Result writes go
-    through to both layers before ``put`` returns, so a crash after
-    ``put`` loses nothing and concurrent processes see each other's
+    through to both layers before ``put_many`` returns, so a crash after
+    it loses nothing and concurrent processes see each other's
     results; only disk-hit *recency* is deferred (see below).
 
     Failure containment — the sidecar is an *accelerator*, never a
@@ -281,7 +277,7 @@ class PersistentResultCache(ResultCache):
       (hence re-fingerprinted) graph simply never collide with stale
       rows, which age out via the disk LRU below.
 
-    Eviction: rows carry a monotone ``touched`` tick, bumped on every put
+    Eviction: rows carry a monotone ``touched`` tick, bumped on every write
     and disk hit; once the table exceeds :data:`DEFAULT_DISK_CAPACITY`
     the least-recently-touched rows are deleted.  A result served purely
     from the memory layer does not refresh its disk recency — keeping the
@@ -314,7 +310,7 @@ class PersistentResultCache(ResultCache):
         #: (not a list) so a key hit twice between flushes costs one row.
         self._pending_touches: Dict[ResultKey, int] = {}  # guarded-by: _lock
         #: Upper bound on the sidecar's row count, maintained locally so
-        #: eviction does not pay a full-table COUNT per put: +1 per
+        #: eviction does not pay a full-table COUNT per write: +1 per
         #: insert (REPLACEs overcount, which is safe), re-synced with the
         #: true count whenever the bound crosses ``disk_capacity``.
         self._row_bound = 0  # guarded-by: _lock
@@ -388,20 +384,15 @@ class PersistentResultCache(ResultCache):
     def close(self) -> None:
         """Flush deferred recency, then release the SQLite connection.
 
-        Result rows themselves are already durable (every put commits);
-        only the batched ``touched`` ticks need the final flush.
+        Result rows themselves are already durable (every ``put_many``
+        commits); only the batched ``touched`` ticks need the final flush.
         """
         with self._lock:
             self._flush_touches_locked(commit=True)
             self._disable_locked()
 
-    def flush(self) -> None:
-        """Make deferred disk-hit recency visible to other processes."""
-        with self._lock:
-            self._flush_touches_locked(commit=True)
-
     # ------------------------------------------------------------------
-    # Layered get / write-through put
+    # Layered get / write-through put_many
     # ------------------------------------------------------------------
 
     def get(self, key: ResultKey) -> Optional[float]:
@@ -420,11 +411,6 @@ class PersistentResultCache(ResultCache):
                 return value
             self.misses += 1
             return None
-
-    def put(self, key: ResultKey, value: float) -> None:
-        with self._lock:
-            self._put_locked(key, value)
-            self._disk_put_locked([(key, float(value))])
 
     def put_many(self, items: Iterable[Tuple[ResultKey, float]]) -> None:
         """Write a whole batch in one transaction (one fsync total)."""
@@ -532,11 +518,6 @@ class PersistentResultCache(ResultCache):
             self._connection.commit()
         except sqlite3.Error:
             self._disable_locked()
-
-    def _disk_size(self) -> int:
-        """True sidecar row count, as a standalone (locking) call."""
-        with self._lock:
-            return self._disk_size_locked()
 
     def _disk_size_locked(self) -> int:
         """True sidecar row count (one COUNT; also resyncs the bound)."""

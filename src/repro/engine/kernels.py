@@ -93,7 +93,7 @@ def shared_fixpoint_vectorized(
             f"words, edge bits carry {words}"
         )
     node_bits = np.zeros((graph.node_count, words), dtype=np.uint64)
-    node_bits[source] = bitset.full_row(bit_count)
+    node_bits[source] = bitset.prefix_mask(bit_count, words)
     indptr, targets = graph.indptr, graph.targets
     edges_probed = 0
 

@@ -24,32 +24,13 @@ identical estimates whatever ``chunk_size`` streams the worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core.estimators.base import BatchQuery, QueryLike, as_query
 from repro.core.graph import UncertainGraph
 from repro.util.validation import check_node, check_positive
-
-
-class BatchQuery(NamedTuple):
-    """One s-t reliability query with its sample budget ``K``.
-
-    ``max_hops`` turns the query into the *distance-constrained* d-hop
-    reliability of §2.9: "does ``source`` reach ``target`` within
-    ``max_hops`` edges?"; ``None`` means plain (unbounded) reliability.
-    A plain ``(source, target, samples)`` or ``(source, target, samples,
-    max_hops)`` tuple coerces to this, so callers can submit workloads as
-    bare tuples.
-    """
-
-    source: int
-    target: int
-    samples: int
-    max_hops: Optional[int] = None
-
-
-QueryLike = Union[BatchQuery, Tuple[int, int, int], Sequence[int]]
 
 
 class SourceGroup(NamedTuple):
@@ -89,32 +70,6 @@ class QueryPlan:
         if len(self.assignment) == 0:
             return np.empty(0, dtype=np.asarray(unique_values).dtype)
         return np.asarray(unique_values)[np.asarray(self.assignment)]
-
-
-def as_query(item: QueryLike) -> BatchQuery:
-    """Coerce a raw workload item into a :class:`BatchQuery`.
-
-    Accepts 3-tuples ``(source, target, samples)`` and 4-tuples with a
-    trailing hop bound (``None`` for unbounded).
-    """
-    if isinstance(item, BatchQuery):
-        return item
-    parts = tuple(item)
-    if len(parts) == 3:
-        source, target, samples = parts
-        max_hops: Optional[int] = None
-    elif len(parts) == 4:
-        source, target, samples, max_hops = parts
-    else:
-        raise ValueError(
-            f"a query is (source, target, samples[, max_hops]), got {item!r}"
-        )
-    return BatchQuery(
-        int(source),
-        int(target),
-        int(samples),
-        None if max_hops is None else int(max_hops),
-    )
 
 
 def plan_queries(
@@ -181,10 +136,7 @@ def plan_queries(
 
 
 __all__ = [
-    "BatchQuery",
-    "QueryLike",
     "SourceGroup",
     "QueryPlan",
-    "as_query",
     "plan_queries",
 ]

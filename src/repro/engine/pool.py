@@ -59,10 +59,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.estimators.base import BatchQuery
 from repro.core.graph import UncertainGraph
 from repro.engine.batch import BatchEngine, partition_ranges
 from repro.engine.cache import graph_fingerprint
-from repro.engine.plan import BatchQuery
 from repro.util.validation import check_positive
 
 #: Pools the module-level registry keeps alive; above this, the least

@@ -7,7 +7,7 @@ from repro.experiments.convergence import (
     evaluate_at_k,
     run_convergence,
 )
-from repro.experiments.metrics import relative_error, relative_error_table
+from repro.experiments.metrics import relative_error
 from repro.experiments.memory import format_bytes, traced_peak_bytes
 from repro.experiments.runner import StudyConfig, StudyResult, run_study
 from repro.experiments.report import (
@@ -24,7 +24,6 @@ __all__ = [
     "evaluate_at_k",
     "run_convergence",
     "relative_error",
-    "relative_error_table",
     "format_bytes",
     "traced_peak_bytes",
     "StudyConfig",

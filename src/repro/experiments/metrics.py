@@ -41,17 +41,6 @@ def relative_error(
     return float(ratios.mean())
 
 
-def relative_error_table(
-    per_estimator_estimates: Dict[str, np.ndarray], reference: np.ndarray
-) -> Dict[str, float]:
-    """Relative error per estimator, plus the pairwise deviation D."""
-    table = {
-        key: relative_error(estimates, reference)
-        for key, estimates in per_estimator_estimates.items()
-    }
-    return table
-
-
 def deviation_of(table: Dict[str, float]) -> float:
     """Pairwise deviation D (Eq. 15) over a relative-error table."""
     return pairwise_deviation(list(table.values()))
@@ -60,6 +49,5 @@ def deviation_of(table: Dict[str, float]) -> float:
 __all__ = [
     "MINIMUM_REFERENCE",
     "relative_error",
-    "relative_error_table",
     "deviation_of",
 ]

@@ -2,9 +2,8 @@
 
 A study reproduces, for a single dataset, everything the paper derives from
 its convergence protocol: the rho_K curves (Fig. 7), the accuracy tables
-(Tables 3-8), the runtime tables (Tables 9-14), and the memory comparison
-(Fig. 12).  Benchmarks configure a study per dataset and render the rows via
-:mod:`repro.experiments.report`.
+(Tables 3-8) and the runtime tables (Tables 9-14).  Benchmarks configure a
+study per dataset and render the rows via :mod:`repro.experiments.report`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.experiments.convergence import (
     run_convergence,
 )
 from repro.experiments.metrics import deviation_of, relative_error
-from repro.experiments.memory import format_bytes
 
 REFERENCE_ESTIMATOR = "mc"  # the paper's accuracy baseline (Eq. 14)
 REPORT_SAMPLE_SIZE = 1_000  # the fixed K prior work compared at
@@ -130,23 +128,6 @@ class StudyResult:
                     "time_conv_s": f"{converged.seconds_per_query:.4f}",
                     "time_1000_s": f"{fixed.seconds_per_query:.4f}",
                     "ms_per_sample": f"{converged.milliseconds_per_sample:.4f}",
-                }
-            )
-        return rows
-
-    # ------------------------------------------------------------------
-    # Fig. 12: memory
-    # ------------------------------------------------------------------
-
-    def memory_rows(self) -> List[Dict[str, str]]:
-        rows = []
-        for key in self.config.estimators:
-            converged = self.results[key].convergence_point
-            rows.append(
-                {
-                    "estimator": display_name(key),
-                    "memory": format_bytes(converged.memory_bytes),
-                    "memory_bytes": str(converged.memory_bytes),
                 }
             )
         return rows

@@ -184,20 +184,6 @@ class QueryTelemetry:
             estimate_variance=estimate.variance,
         )
 
-    def observation_count(
-        self,
-        method: str,
-        *,
-        fingerprint: str,
-        samples: int,
-        max_hops: Optional[int],
-    ) -> int:
-        """How many observations ``method``'s bucket holds (0 when cold)."""
-        entry = self._buckets.get(
-            bucket_key(fingerprint, method, samples, max_hops)
-        )
-        return 0 if entry is None else entry[0].count
-
     def snapshot(self, fingerprint: Optional[str] = None) -> Dict[str, object]:
         """Aggregate view for ``/v1/stats``.
 

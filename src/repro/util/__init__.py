@@ -1,17 +1,13 @@
 """Shared low-level utilities: RNG plumbing, packed bitsets, statistics."""
 
-from repro.util.rng import ensure_generator, spawn_generators
+from repro.util.rng import ensure_generator
 from repro.util.bitset import (
     packed_words,
     sample_bit_matrix,
     popcount,
     popcount_rows,
 )
-from repro.util.stats import (
-    RunningMoments,
-    dispersion_index,
-    mean_and_variance,
-)
+from repro.util.stats import dispersion_index
 from repro.util.validation import (
     check_node,
     check_probability,
@@ -20,14 +16,11 @@ from repro.util.validation import (
 
 __all__ = [
     "ensure_generator",
-    "spawn_generators",
     "packed_words",
     "sample_bit_matrix",
     "popcount",
     "popcount_rows",
-    "RunningMoments",
     "dispersion_index",
-    "mean_and_variance",
     "check_node",
     "check_probability",
     "check_positive",

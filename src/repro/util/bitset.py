@@ -44,27 +44,6 @@ def packed_words(bit_count: int) -> int:
     return (bit_count + WORD_BITS - 1) // WORD_BITS
 
 
-def zeros(rows: int, bit_count: int) -> np.ndarray:
-    """Allocate an all-zero bit matrix for ``rows`` vectors of ``bit_count`` bits."""
-    return np.zeros((rows, packed_words(bit_count)), dtype=_WORD_DTYPE)
-
-
-def full_row(bit_count: int) -> np.ndarray:
-    """A single bit vector with the first ``bit_count`` bits set.
-
-    Trailing bits of the last word stay zero so popcounts stay exact.
-    """
-    words = packed_words(bit_count)
-    row = np.zeros(words, dtype=_WORD_DTYPE)
-    if words == 0:
-        return row
-    row[:] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    tail = bit_count % WORD_BITS
-    if tail:
-        row[-1] = np.uint64((1 << tail) - 1)
-    return row
-
-
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(rows, bit_count)`` boolean block into ``(rows, words)``.
 
@@ -125,9 +104,9 @@ def pack_bool_matrix(masks: np.ndarray) -> np.ndarray:
 def prefix_mask(bit_count: int, words: int) -> np.ndarray:
     """A ``words``-word vector with only the first ``bit_count`` bits set.
 
-    Like :func:`full_row` but padded/truncated to a fixed word width, so it
-    can mask rows of an existing bit matrix (e.g. "count only the worlds a
-    query's budget covers" in the batch engine).
+    With ``words = packed_words(bit_count)`` it is a full source row;
+    a fixed word width lets it mask rows of an existing bit matrix (e.g.
+    "count only the worlds a query's budget covers" in the batch engine).
     """
     if bit_count < 0:
         raise ValueError(f"bit_count must be non-negative, got {bit_count}")
@@ -153,28 +132,12 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return _POPCOUNT_TABLE[bytes_view].sum(axis=1, dtype=np.int64)
 
 
-def get_bit(row: np.ndarray, index: int) -> bool:
-    """Read bit ``index`` from a packed vector (slow path, for tests)."""
-    word, offset = divmod(index, WORD_BITS)
-    return bool((int(row[word]) >> offset) & 1)
-
-
-def set_bit(row: np.ndarray, index: int) -> None:
-    """Set bit ``index`` in a packed vector in place (slow path, for tests)."""
-    word, offset = divmod(index, WORD_BITS)
-    row[word] |= np.uint64(1 << offset)
-
-
 __all__ = [
     "WORD_BITS",
     "packed_words",
-    "zeros",
-    "full_row",
     "sample_bit_matrix",
     "pack_bool_matrix",
     "prefix_mask",
     "popcount",
     "popcount_rows",
-    "get_bit",
-    "set_bit",
 ]

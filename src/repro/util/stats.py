@@ -2,54 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class RunningMoments:
-    """Welford accumulator for mean/variance without storing samples.
-
-    Used where an experiment streams many per-pair estimates and only the
-    first two moments are reported (paper Eqs. 11-13).
-    """
-
-    count: int = 0
-    _mean: float = 0.0
-    _m2: float = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (``n - 1`` denominator, 0 if n < 2)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-
-def mean_and_variance(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and unbiased variance of ``values`` (Eq. 11 of the paper)."""
-    array = np.asarray(values, dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("mean_and_variance requires at least one value")
-    if array.size == 1:
-        return float(array[0]), 0.0
-    return float(array.mean()), float(array.var(ddof=1))
 
 
 def dispersion_index(variance: float, mean: float) -> float:
@@ -70,24 +25,6 @@ def binomial_variance(reliability: float, samples: int) -> float:
     return reliability * (1.0 - reliability) / samples
 
 
-def chernoff_sample_bound(
-    reliability: float, epsilon: float = 0.1, failure: float = 0.05
-) -> int:
-    """Chernoff bound on #samples for an (epsilon, failure) guarantee (Eq. 5).
-
-    ``K >= 3 / (eps^2 R) * ln(2 / lambda)`` ensures the relative error of the
-    MC estimate exceeds ``epsilon`` with probability at most ``failure``.
-    """
-    if not 0.0 < reliability <= 1.0:
-        raise ValueError(f"reliability must be in (0, 1], got {reliability}")
-    if not 0.0 < epsilon:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < failure < 1.0:
-        raise ValueError(f"failure must be in (0, 1), got {failure}")
-    bound = 3.0 / (epsilon**2 * reliability) * np.log(2.0 / failure)
-    return int(np.ceil(bound))
-
-
 def pairwise_deviation(relative_errors: Sequence[float]) -> float:
     """Mean absolute pairwise deviation D of relative errors (paper Eq. 15).
 
@@ -103,10 +40,7 @@ def pairwise_deviation(relative_errors: Sequence[float]) -> float:
 
 
 __all__ = [
-    "RunningMoments",
-    "mean_and_variance",
     "dispersion_index",
     "binomial_variance",
-    "chernoff_sample_bound",
     "pairwise_deviation",
 ]

@@ -7,6 +7,7 @@ exists for — shared caches, shared estimator indexes, and thread-safe
 bit-identical answers.
 """
 
+import dataclasses
 import itertools
 import threading
 
@@ -127,6 +128,46 @@ class TestEstimate:
         service.estimate(EstimateRequest(source=3, target=9, samples=50))
         assert service.estimator("mc") is service.estimator("mc")
         assert service.stats()["estimators_loaded"] == ["mc"]
+
+
+class TestSeedsAndBudgets:
+    """The bounds of the seed and budget rules; the refusals of each
+    request path are wire cases in ``test_wire_golden.py``."""
+
+    def test_a_negative_service_seed_is_refused_before_loading(
+        self, diamond_graph, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset must not load")
+
+        monkeypatch.setattr("repro.datasets.suite.load_dataset", never)
+        with pytest.raises(InvalidQueryError, match="seed must be a non-negative"):
+            ReliabilityService.from_dataset("lastfm", "tiny", seed=-1)
+        with pytest.raises(InvalidQueryError, match="seed must be a non-negative"):
+            ReliabilityService(diamond_graph, seed=-1)
+
+    def test_seeds_past_int64_keep_working(self, diamond_graph, tmp_path):
+        seed = 2**64 + 5
+        with ReliabilityService(
+            diamond_graph, seed=seed, cache_dir=str(tmp_path)
+        ) as service:
+            first = service.estimate_batch(
+                BatchRequest(queries=(QuerySpec(0, 3, 100),), seed=seed)
+            )
+            response = service.estimate(EstimateRequest(0, 3, samples=100, seed=seed))
+        assert response.seed == seed
+        with ReliabilityService(diamond_graph, cache_dir=str(tmp_path)) as reopened:
+            replay = reopened.estimate_batch(
+                BatchRequest(queries=(QuerySpec(0, 3, 100),), seed=seed)
+            )
+        assert replay.engine.worlds_sampled == 0
+        assert replay.results == tuple(
+            dataclasses.replace(row, cached=True) for row in first.results
+        )
+
+    def test_the_largest_int64_budget_passes_validation(self, service):
+        queries = service.resolve_queries((QuerySpec(0, 5, 2**63 - 1),), 100)
+        assert queries[0].samples == 2**63 - 1
 
 
 class TestEstimateBatch:

@@ -25,7 +25,9 @@ it replays, and the update — which changes the graph — comes last.
 
 ``ERRORS`` pins the other half of the contract the same way: one
 malformed request per message the strict parser can produce, status and
-wording included.
+wording included, plus the service's refusals of a negative seed and of
+a budget past int64 on every path they used to reach as HTTP 500s
+(appended to the recording; no earlier case moved).
 
 Re-record (only when the wire format changes on purpose)::
 
@@ -170,6 +172,33 @@ ERRORS = [
      "/v1/recommend?memory_limited=maybe", None),
     ("recommend_get_bad_integer", "GET", "/v1/recommend?samples=abc", None),
     ("recommend_get_unknown_key", "GET", "/v1/recommend?fast=1", None),
+    ("estimate_negative_seed", "POST", "/v1/estimate",
+     {"source": 0, "target": 5, "samples": 100, "seed": -1}),
+    ("batch_negative_seed", "POST", "/v1/batch",
+     {"queries": OK_QUERIES, "seed": -1}),
+    ("batch_bag_grouped_negative_seed", "POST", "/v1/batch",
+     {"queries": OK_QUERIES, "method": "prob_tree", "seed": -1}),
+    ("batch_per_query_negative_seed", "POST", "/v1/batch",
+     {"queries": OK_QUERIES, "method": "rss", "seed": -1}),
+    ("warm_negative_seed", "POST", "/v1/warm",
+     {"queries": OK_QUERIES, "seed": -1}),
+    ("topk_negative_seed", "POST", "/v1/topk",
+     {"source": 0, "k": 3, "samples": 100, "seed": -1}),
+    ("shard_run_negative_seed", "POST", "/v1/shard/run",
+     {"queries": OK_QUERIES, "start": 0, "stop": 64, "seed": -1,
+      "fingerprint": FINGERPRINT}),
+    ("batch_oversized_samples", "POST", "/v1/batch",
+     {"queries": [[0, 5, 2**64]]}),
+    ("batch_object_oversized_samples", "POST", "/v1/batch",
+     {"queries": [{"source": 0, "target": 5, "samples": 2**63}]}),
+    ("batch_oversized_default_samples", "POST", "/v1/batch",
+     {"queries": [[0, 5]], "samples": 2**64}),
+    ("topk_oversized_samples", "POST", "/v1/topk",
+     {"source": 0, "k": 3, "samples": 2**64}),
+    ("estimate_oversized_samples", "POST", "/v1/estimate",
+     {"source": 0, "target": 5, "samples": 2**64}),
+    ("warm_oversized_samples", "POST", "/v1/warm",
+     {"queries": [[0, 5, 2**64]]}),
 ]
 
 

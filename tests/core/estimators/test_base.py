@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators.base import QueryStatistics
+from repro.core.estimators.base import (
+    BatchQuery,
+    QueryStatistics,
+    coerce_batch_queries,
+)
 from repro.core.registry import PAPER_ESTIMATORS, create_estimator
 
 
@@ -55,11 +59,48 @@ class TestEstimatorContract:
         assert type(any_estimator).__name__ in repr(any_estimator)
 
 
-class TestQueryStatistics:
-    def test_merge_accumulates(self):
-        a = QueryStatistics(samples_requested=10, edges_probed=5, recursion_depth=2)
-        b = QueryStatistics(samples_requested=3, edges_probed=7, recursion_depth=4)
-        a.merge(b)
-        assert a.samples_requested == 13
-        assert a.edges_probed == 12
-        assert a.recursion_depth == 4
+class TestCoerceBatchQueries:
+    def test_every_form_becomes_a_batch_query(self):
+        workload = coerce_batch_queries(
+            [(0, 3, 10), [1, 2, 5, None], BatchQuery(2, 3, 7)],
+            estimator_name="X",
+            allow_hops=False,
+        )
+        assert workload == [
+            BatchQuery(0, 3, 10),
+            BatchQuery(1, 2, 5),
+            BatchQuery(2, 3, 7),
+        ]
+        assert all(type(query) is BatchQuery for query in workload)
+
+    def test_consumes_a_generator_once(self):
+        items = ((0, target, 4) for target in range(3))
+        workload = coerce_batch_queries(items, estimator_name="X", allow_hops=False)
+        assert [query.target for query in workload] == [0, 1, 2]
+
+    def test_hop_bound_kept_when_allowed(self):
+        workload = coerce_batch_queries(
+            [(0, 3, 10, 2)], estimator_name="X", allow_hops=True
+        )
+        assert workload == [BatchQuery(0, 3, 10, 2)]
+
+    def test_hop_bound_rejected_with_default_advice(self):
+        with pytest.raises(NotImplementedError, match="Slow has no d-hop") as info:
+            coerce_batch_queries(
+                [(0, 3, 10), (0, 3, 10, 2)], estimator_name="Slow", allow_hops=False
+            )
+        assert "'mc' or 'bfs_sharing'" in str(info.value)
+
+    def test_hops_reason_replaces_the_default_advice(self):
+        with pytest.raises(NotImplementedError, match="because bags") as info:
+            coerce_batch_queries(
+                [(0, 3, 10, 1)],
+                estimator_name="Slow",
+                allow_hops=False,
+                hops_reason="because bags",
+            )
+        assert "bfs_sharing" not in str(info.value)
+
+    def test_malformed_item_rejected(self):
+        with pytest.raises(ValueError, match="a query is"):
+            coerce_batch_queries([(0, 3)], estimator_name="X", allow_hops=True)

@@ -69,9 +69,8 @@ class TestSharedBfsEquivalence:
         edge_bits = estimator.index.edge_bits
         hits = 0
         for world in range(samples):
-            mask = np.array(
-                [bitset.get_bit(edge_bits[e], world) for e in range(graph.edge_count)]
-            )
+            word, offset = divmod(world, bitset.WORD_BITS)
+            mask = (edge_bits[:, word] >> np.uint64(offset)) & np.uint64(1) == 1
             hits += reachable_in_world(graph, mask, 0, 6)
         assert estimate == pytest.approx(hits / samples, abs=1e-12)
 

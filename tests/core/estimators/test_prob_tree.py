@@ -52,10 +52,6 @@ class TestIndexStructure:
         assert len(index.root_nodes) == 5
         assert not index.bags
 
-    def test_invalid_width_rejected(self, diamond_graph):
-        with pytest.raises(ValueError):
-            FWDProbTreeIndex(diamond_graph, width=3)
-
     def test_statistics_keys(self, diamond_graph):
         stats = FWDProbTreeIndex(diamond_graph).statistics()
         assert {"bags", "height", "root_nodes", "root_edges"} <= set(stats)

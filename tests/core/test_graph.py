@@ -68,17 +68,8 @@ class TestAccessors:
             4, [(0, 1, 0.1), (0, 2, 0.2), (1, 2, 0.3), (2, 3, 0.4), (3, 0, 0.5)]
         )
 
-    def test_out_edges(self, graph):
-        targets, probs = graph.out_edges(0)
-        np.testing.assert_array_equal(targets, [1, 2])
-        np.testing.assert_allclose(probs, [0.1, 0.2])
-
-    def test_out_edge_ids(self, graph):
-        assert list(graph.out_edge_ids(0)) == [0, 1]
-        assert list(graph.out_edge_ids(3)) == [4]
-
     def test_edge_source(self, graph):
-        assert [graph.edge_source(e) for e in range(5)] == [0, 0, 1, 2, 3]
+        np.testing.assert_array_equal(graph.edge_sources, [0, 0, 1, 2, 3])
 
     def test_edge_probability_lookup(self, graph):
         assert graph.edge_probability(0, 2) == pytest.approx(0.2)
@@ -101,6 +92,28 @@ class TestAccessors:
 
     def test_memory_bytes_positive(self, graph):
         assert graph.memory_bytes() > 0
+
+
+class TestEquality:
+    EDGES = [(0, 1, 0.1), (1, 2, 0.3), (2, 0, 0.5)]
+
+    def test_edge_order_does_not_matter(self):
+        assert UncertainGraph(3, self.EDGES) == UncertainGraph(3, self.EDGES[::-1])
+
+    def test_probability_change_breaks_equality(self):
+        changed = [(0, 1, 0.1), (1, 2, 0.3), (2, 0, 0.6)]
+        assert UncertainGraph(3, self.EDGES) != UncertainGraph(3, changed)
+
+    def test_extra_isolated_node_breaks_equality(self):
+        assert UncertainGraph(3, self.EDGES) != UncertainGraph(4, self.EDGES)
+
+    def test_other_types_are_not_equal(self):
+        assert UncertainGraph(3, self.EDGES) != list(self.EDGES)
+
+    def test_from_edge_arrays_matches_constructor(self):
+        sources, targets, probs = (np.array(column) for column in zip(*self.EDGES))
+        built = UncertainGraph.from_edge_arrays(3, sources, targets, probs)
+        assert built == UncertainGraph(3, self.EDGES)
 
 
 class TestBfsDistances:
@@ -138,14 +151,6 @@ class TestStatistics:
         assert "0.25" in text
 
 
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path, diamond_graph):
-        path = tmp_path / "graph.npz"
-        diamond_graph.save(path)
-        loaded = UncertainGraph.load(path)
-        assert loaded == diamond_graph
-
-
 class TestGraphBuilder:
     def test_incremental_build(self):
         builder = GraphBuilder()
@@ -154,12 +159,6 @@ class TestGraphBuilder:
         graph = builder.build()
         assert graph.node_count == 5
         assert graph.edge_count == 2
-
-    def test_add_node_allocates_ids(self):
-        builder = GraphBuilder()
-        assert builder.add_node() == 0
-        assert builder.add_node() == 1
-        assert builder.build().node_count == 2
 
     def test_undirected_edge_adds_both_directions(self):
         builder = GraphBuilder()

@@ -11,11 +11,11 @@ from repro.core.recommend import (
 )
 from repro.core.registry import (
     PAPER_ESTIMATORS,
+    VARIANCE_SAMPLERS,
     create_estimator,
     display_name,
     estimator_class,
     estimator_keys,
-    register_estimator,
 )
 
 
@@ -39,44 +39,31 @@ class TestRegistry:
         estimator = create_estimator("rhh", diamond_graph, threshold=7)
         assert estimator.threshold == 7
 
+    @pytest.mark.parametrize("key", estimator_keys())
+    def test_created_estimator_has_its_key(self, key, diamond_graph):
+        estimator = create_estimator(key, diamond_graph, seed=0)
+        assert type(estimator) is estimator_class(key)
+        assert estimator.key == key
+
+    def test_unknown_key_error_lists_known_keys(self):
+        with pytest.raises(KeyError, match="known keys: .*bfs_sharing"):
+            create_estimator("bogus", None)
+
+    def test_display_name_of_unknown_key_rejected(self):
+        with pytest.raises(KeyError, match="unknown estimator"):
+            display_name("bogus")
+
+    def test_variance_samplers_are_registered_outside_the_paper_six(self):
+        for key in VARIANCE_SAMPLERS:
+            assert key in estimator_keys()
+            assert key not in PAPER_ESTIMATORS
+
     def test_display_names_match_paper(self):
         expected = {"mc": "MC", "bfs_sharing": "BFSSharing", "prob_tree": "ProbTree",
                     "lp_plus": "LP+", "rhh": "RHH", "rss": "RSS"}
         for key, name in expected.items():
             assert display_name(key) == name
 
-    def test_register_custom_estimator(self, diamond_graph):
-        class Constant(Estimator):
-            key = "constant_test"
-            display_name = "Constant"
-
-            def _estimate(self, source, target, samples, rng):
-                return 0.5
-
-        register_estimator(Constant)
-        estimator = create_estimator("constant_test", diamond_graph)
-        assert estimator.estimate(0, 3, 10) == 0.5
-        # Re-registering the same class is idempotent.
-        register_estimator(Constant)
-
-    def test_register_conflicting_key_rejected(self):
-        class Fake(Estimator):
-            key = "mc"
-            display_name = "Fake"
-
-            def _estimate(self, source, target, samples, rng):
-                return 0.0
-
-        with pytest.raises(ValueError):
-            register_estimator(Fake)
-
-    def test_register_empty_key_rejected(self):
-        class NoKey(Estimator):
-            def _estimate(self, source, target, samples, rng):
-                return 0.0
-
-        with pytest.raises(ValueError):
-            register_estimator(NoKey)
 
 
 class TestRecommendation:

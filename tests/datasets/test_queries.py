@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.graph import UncertainGraph
-from repro.datasets.queries import (
-    QueryWorkload,
-    WorkloadError,
-    distance_sweep_workloads,
-    generate_workload,
-)
+from repro.datasets.queries import WorkloadError, generate_workload
 from repro.datasets.suite import load_dataset
 
 
@@ -56,21 +51,16 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             generate_workload(tiny_graph, pair_count=5, hop_distance=0)
 
-    def test_save_load_roundtrip(self, tiny_graph, tmp_path):
-        workload = generate_workload(tiny_graph, pair_count=6, seed=3)
-        path = tmp_path / "workload.npz"
-        workload.save(path)
-        loaded = QueryWorkload.load(path)
-        assert loaded.pairs == workload.pairs
-        assert loaded.hop_distance == workload.hop_distance
-
-
 class TestDistanceSweep:
     def test_one_workload_per_distance(self):
         graph = load_dataset("biomine", "tiny", seed=0).graph
-        workloads = distance_sweep_workloads(
-            graph, pair_count=5, hop_distances=(2, 3), seed=0
-        )
+        # The §3.9 sweep: one generator call per hop distance.
+        workloads = {
+            distance: generate_workload(
+                graph, pair_count=5, hop_distance=distance, seed=distance
+            )
+            for distance in (2, 3)
+        }
         assert set(workloads) == {2, 3}
         for distance, workload in workloads.items():
             assert workload.hop_distance == distance

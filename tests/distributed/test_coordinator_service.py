@@ -29,6 +29,7 @@ import pytest
 from repro.api import (
     BatchRequest,
     EstimateRequest,
+    InvalidQueryError,
     QuerySpec,
     ReliabilityService,
 )
@@ -114,6 +115,22 @@ def tier():
                 stop_worker(worker)
             except Exception:
                 pass
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": -1}, {"samples": 2**64}],
+        ids=["negative_seed", "oversized_samples"],
+    )
+    def test_refused_before_any_dispatch(self, tier, fields):
+        coordinator, workers = tier
+        with pytest.raises(InvalidQueryError):
+            coordinator.estimate_batch(
+                BatchRequest(queries=(QuerySpec(0, 5),), **fields)
+            )
+        for service, _, _ in workers:
+            assert service.stats()["requests"].get("shard_run", 0) == 0
 
 
 class TestWireCompatibility:

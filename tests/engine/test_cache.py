@@ -62,14 +62,14 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         key = result_key("fp", 0, 1, 100, 7)
         assert cache.get(key) is None
-        cache.put(key, 0.5)
+        cache.put_many([(key, 0.5)])
         assert cache.get(key) == 0.5
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_distinct_seeds_do_not_collide(self):
         cache = ResultCache(capacity=4)
-        cache.put(result_key("fp", 0, 1, 100, 7), 0.5)
+        cache.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
         assert cache.get(result_key("fp", 0, 1, 100, 8)) is None
 
     def test_hop_bounds_partition_keys(self):
@@ -88,8 +88,8 @@ class TestResultCache:
 
     def test_cache_never_serves_across_hop_bounds(self):
         cache = ResultCache(capacity=8)
-        cache.put(result_key("fp", 0, 1, 100, 7), 0.5)
-        cache.put(result_key("fp", 0, 1, 100, 7, max_hops=2), 0.25)
+        cache.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
+        cache.put_many([(result_key("fp", 0, 1, 100, 7, max_hops=2), 0.25)])
         assert cache.get(result_key("fp", 0, 1, 100, 7, max_hops=3)) is None
         assert cache.get(result_key("fp", 0, 1, 100, 7, max_hops=2)) == 0.25
         assert cache.get(result_key("fp", 0, 1, 100, 7)) == 0.5
@@ -99,24 +99,24 @@ class TestResultCache:
         first = result_key("fp", 0, 1, 10, 0)
         second = result_key("fp", 0, 2, 10, 0)
         third = result_key("fp", 0, 3, 10, 0)
-        cache.put(first, 0.1)
-        cache.put(second, 0.2)
+        cache.put_many([(first, 0.1)])
+        cache.put_many([(second, 0.2)])
         assert cache.get(first) == 0.1  # promote `first`
-        cache.put(third, 0.3)  # evicts `second`, the LRU entry
+        cache.put_many([(third, 0.3)])  # evicts `second`, the LRU entry
         assert second not in cache
         assert first in cache and third in cache
         assert len(cache) == 2
 
     def test_statistics_shape(self):
         cache = ResultCache(capacity=3)
-        cache.put(result_key("fp", 0, 1, 10, 0), 0.1)
+        cache.put_many([(result_key("fp", 0, 1, 10, 0), 0.1)])
         cache.get(result_key("fp", 0, 1, 10, 0))
         stats = cache.statistics()
         assert stats == {"size": 1, "capacity": 3, "hits": 1, "misses": 0}
 
     def test_clear(self):
         cache = ResultCache(capacity=3)
-        cache.put(result_key("fp", 0, 1, 10, 0), 0.1)
+        cache.put_many([(result_key("fp", 0, 1, 10, 0), 0.1)])
         cache.clear()
         assert len(cache) == 0
 
@@ -129,7 +129,7 @@ class TestResultCache:
         ]
         batched.put_many(items)
         for key, value in items:
-            looped.put(key, value)
+            looped.put_many([(key, value)])
         for key, value in items:
             assert batched.get(key) == value
         assert len(batched) == len(looped)
@@ -160,7 +160,7 @@ class TestThreadSafety:
                     # Exactness: a present value is always the right one.
                     if value is not None and value != key[2] / 32.0:
                         errors.append((key, value))
-                    cache.put(key, key[2] / 32.0)
+                    cache.put_many([(key, key[2] / 32.0)])
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -187,7 +187,7 @@ class TestThreadSafety:
             try:
                 for round_number in range(200):
                     key = result_key("fp", worker, round_number, 10, 0)
-                    cache.put(key, 0.5)
+                    cache.put_many([(key, 0.5)])
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 

@@ -74,7 +74,7 @@ class TestSharedFixpointConformance:
         # fixpoint must leave every non-source row empty.
         graph = random_graph(seed=3, node_count=6, edge_probability=0.5)
         bit_count = 64
-        edge_bits = bitset.zeros(graph.edge_count, bit_count)
+        edge_bits = np.zeros((graph.edge_count, 1), dtype=np.uint64)
         node_bits, _ = shared_fixpoint_vectorized(graph, edge_bits, 0, bit_count)
         reference, _ = shared_reachability_fixpoint(graph, edge_bits, 0, bit_count)
         np.testing.assert_array_equal(node_bits, reference)
@@ -82,7 +82,7 @@ class TestSharedFixpointConformance:
 
     def test_word_count_mismatch_rejected(self):
         graph = random_graph(seed=3, node_count=4, edge_probability=0.9)
-        edge_bits = bitset.zeros(graph.edge_count, 64)
+        edge_bits = np.zeros((graph.edge_count, 1), dtype=np.uint64)
         with pytest.raises(ValueError, match="words"):
             shared_fixpoint_vectorized(graph, edge_bits, 0, 65)
 

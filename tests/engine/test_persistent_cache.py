@@ -38,7 +38,7 @@ class TestRoundTrip:
     def test_survives_the_instance(self, cache_dir):
         key = result_key("fp", 0, 1, 100, 7)
         first = open_result_cache(cache_dir)
-        first.put(key, 0.5)
+        first.put_many([(key, 0.5)])
         first.close()
         second = open_result_cache(cache_dir)
         assert second.get(key) == 0.5
@@ -47,7 +47,7 @@ class TestRoundTrip:
     def test_disk_hit_promotes_into_memory(self, cache_dir):
         key = result_key("fp", 0, 1, 100, 7)
         writer = open_result_cache(cache_dir)
-        writer.put(key, 0.25)
+        writer.put_many([(key, 0.25)])
         writer.close()
         reader = open_result_cache(cache_dir)
         assert reader.get(key) == 0.25
@@ -60,13 +60,13 @@ class TestRoundTrip:
         # INTEGER cannot hold — seeds are stored as TEXT.
         key = result_key("fp", 0, 1, 100, 2**64 - 1)
         writer = open_result_cache(cache_dir)
-        writer.put(key, 0.125)
+        writer.put_many([(key, 0.125)])
         writer.close()
         assert open_result_cache(cache_dir).get(key) == 0.125
 
     def test_statistics_extend_the_base_counters(self, cache_dir):
         cache = open_result_cache(cache_dir)
-        cache.put(result_key("fp", 0, 1, 10, 0), 0.1)
+        cache.put_many([(result_key("fp", 0, 1, 10, 0), 0.1)])
         stats = cache.statistics()
         assert stats["disk_size"] == 1
         assert stats["persistent"] is True
@@ -81,7 +81,7 @@ class TestCorruptedSidecar:
         assert not cache.disabled
         key = result_key("fp", 0, 1, 100, 7)
         assert cache.get(key) is None
-        cache.put(key, 0.5)
+        cache.put_many([(key, 0.5)])
         assert cache.get(key) == 0.5
         assert sidecar_of(cache_dir).with_suffix(".corrupt").exists()
 
@@ -90,19 +90,19 @@ class TestCorruptedSidecar:
         sidecar_of(cache_dir).write_bytes(b"\x00" * 512)
         key = result_key("fp", 0, 1, 100, 7)
         first = open_result_cache(cache_dir)
-        first.put(key, 0.75)
+        first.put_many([(key, 0.75)])
         first.close()
         assert open_result_cache(cache_dir).get(key) == 0.75
 
     def test_runtime_sqlite_failure_degrades_to_memory(self, cache_dir):
         cache = open_result_cache(cache_dir)
         key = result_key("fp", 0, 1, 100, 7)
-        cache.put(key, 0.5)
+        cache.put_many([(key, 0.5)])
         # Yank the connection out from under the cache: subsequent disk
         # operations fail, persistence turns off, memory keeps serving.
         cache._connection.close()
         other = result_key("fp", 0, 2, 100, 7)
-        cache.put(other, 0.25)
+        cache.put_many([(other, 0.25)])
         assert cache.disabled
         assert cache.get(key) == 0.5
         assert cache.get(other) == 0.25
@@ -127,8 +127,8 @@ class TestFingerprintIsolation:
 
     def test_distinct_fingerprints_coexist_in_one_sidecar(self, cache_dir):
         cache = open_result_cache(cache_dir)
-        cache.put(result_key("fp-a", 0, 1, 100, 7), 0.5)
-        cache.put(result_key("fp-b", 0, 1, 100, 7), 0.75)
+        cache.put_many([(result_key("fp-a", 0, 1, 100, 7), 0.5)])
+        cache.put_many([(result_key("fp-b", 0, 1, 100, 7), 0.75)])
         cache.close()
         reopened = open_result_cache(cache_dir)
         assert reopened.get(result_key("fp-a", 0, 1, 100, 7)) == 0.5
@@ -182,8 +182,8 @@ class TestUpdateLifecycle:
 class TestHopBoundIsolation:
     def test_hop_bounds_partition_disk_keys(self, cache_dir):
         writer = open_result_cache(cache_dir)
-        writer.put(result_key("fp", 0, 1, 100, 7), 0.5)
-        writer.put(result_key("fp", 0, 1, 100, 7, max_hops=2), 0.25)
+        writer.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
+        writer.put_many([(result_key("fp", 0, 1, 100, 7, max_hops=2), 0.25)])
         writer.close()
         reader = open_result_cache(cache_dir)
         assert reader.get(result_key("fp", 0, 1, 100, 7, max_hops=3)) is None
@@ -210,7 +210,7 @@ class TestConcurrentReaders:
         keys = [result_key("fp", 0, t, 100, 7) for t in range(16)]
         writer = open_result_cache(cache_dir)
         for offset, key in enumerate(keys):
-            writer.put(key, offset / 16.0)
+            writer.put_many([(key, offset / 16.0)])
         writer.close()
 
         failures = []
@@ -236,8 +236,8 @@ class TestConcurrentReaders:
     def test_interleaved_writers_serialise_on_the_file_lock(self, cache_dir):
         a = open_result_cache(cache_dir)
         b = open_result_cache(cache_dir)
-        a.put(result_key("fp", 0, 1, 100, 7), 0.5)
-        b.put(result_key("fp", 0, 2, 100, 7), 0.25)
+        a.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
+        b.put_many([(result_key("fp", 0, 2, 100, 7), 0.25)])
         assert a.get(result_key("fp", 0, 2, 100, 7)) == 0.25
         assert b.get(result_key("fp", 0, 1, 100, 7)) == 0.5
 
@@ -247,8 +247,8 @@ class TestDiskEviction:
         monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 4)
         cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         for target in range(10):
-            cache.put(result_key("fp", 0, target, 100, 7), target / 10.0)
-        assert cache._disk_size() <= 4
+            cache.put_many([(result_key("fp", 0, target, 100, 7), target / 10.0)])
+        assert cache.statistics()["disk_size"] <= 4
 
     def test_replacing_puts_do_not_trigger_spurious_eviction(
         self, cache_dir, monkeypatch
@@ -259,14 +259,14 @@ class TestDiskEviction:
         cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         key = result_key("fp", 0, 1, 100, 7)
         for round_number in range(20):
-            cache.put(key, round_number / 20.0)
-        assert cache._disk_size() == 1
+            cache.put_many([(key, round_number / 20.0)])
+        assert cache.statistics()["disk_size"] == 1
 
     def test_row_bound_survives_reopen(self, cache_dir, monkeypatch):
         monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 8)
         first = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         for target in range(5):
-            first.put(result_key("fp", 0, target, 100, 7), 0.5)
+            first.put_many([(result_key("fp", 0, target, 100, 7), 0.5)])
         first.close()
         second = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         assert second._row_bound == 5
@@ -276,13 +276,13 @@ class TestDiskEviction:
         cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         keys = [result_key("fp", 0, t, 100, 7) for t in range(3)]
         for offset, key in enumerate(keys):
-            cache.put(key, offset / 4.0)
+            cache.put_many([(key, offset / 4.0)])
         cache.close()
         # A *disk* read refreshes recency (memory-layer hits do not, by
         # design — the hot path stays write-free).
         toucher = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         assert toucher.get(keys[0]) == 0.0  # disk hit bumps keys[0]
-        toucher.put(result_key("fp", 0, 99, 100, 7), 0.99)  # evicts keys[1]
+        toucher.put_many([(result_key("fp", 0, 99, 100, 7), 0.99)])  # evicts keys[1]
         toucher.close()
         survivor = open_result_cache(cache_dir)
         assert survivor.get(keys[0]) == 0.0
@@ -335,7 +335,7 @@ class TestBatchedWrites:
             for target in range(32)
         )
         assert connection.commits == 1
-        assert cache._disk_size() == 32
+        assert cache.statistics()["disk_size"] == 32
         cache.close()
         reopened = open_result_cache(cache_dir)
         for target in range(32):
@@ -349,7 +349,7 @@ class TestBatchedWrites:
         cache = open_result_cache(cache_dir)
         connection = counting(cache)
         for target in range(4):
-            cache.put(result_key("fp", 0, target, 100, 7), 0.5)
+            cache.put_many([(result_key("fp", 0, target, 100, 7), 0.5)])
         assert connection.commits == 4
 
     def test_empty_put_many_touches_nothing(self, cache_dir):
@@ -398,7 +398,7 @@ class TestBatchedTouches:
         cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         keys = [result_key("fp", 0, target, 100, 7) for target in range(3)]
         for offset, key in enumerate(keys):
-            cache.put(key, offset / 4.0)
+            cache.put_many([(key, offset / 4.0)])
         cache.close()
 
         toucher = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
@@ -407,7 +407,7 @@ class TestBatchedTouches:
 
         # keys[0] is now the most recently touched row on disk.
         evictor = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
-        evictor.put(result_key("fp", 0, 99, 100, 7), 0.99)
+        evictor.put_many([(result_key("fp", 0, 99, 100, 7), 0.99)])
         evictor.close()
         survivor = open_result_cache(cache_dir)
         assert survivor.get(keys[0]) == 0.0
@@ -416,7 +416,7 @@ class TestBatchedTouches:
     def test_statistics_flushes_pending_recency(self, cache_dir):
         writer = open_result_cache(cache_dir)
         key = result_key("fp", 0, 1, 100, 7)
-        writer.put(key, 0.5)
+        writer.put_many([(key, 0.5)])
         writer.close()
         reader = open_result_cache(cache_dir)
         assert reader.get(key) == 0.5
@@ -441,7 +441,7 @@ class TestThreadSafety:
                     value = cache.get(key)
                     if value is not None and value != key[2] / 24.0:
                         errors.append(("wrong value", key, value))
-                    cache.put(key, key[2] / 24.0)
+                    cache.put_many([(key, key[2] / 24.0)])
                     if round_number % 40 == 0:
                         cache.statistics()
             except Exception as error:  # pragma: no cover - failure path
@@ -489,21 +489,30 @@ class TestThreadSafety:
             thread.join()
         assert not errors
         assert not cache.disabled
-        assert cache._disk_size() == 300
+        assert cache.statistics()["disk_size"] == 300
 
     def test_flush_publishes_recency_without_closing(self, cache_dir):
-        # flush() is the on-demand flush point for operators that want
-        # cross-process recency visibility from a still-open cache.
+        # statistics() is the on-demand flush point for operators that
+        # want cross-process recency visibility from a still-open cache.
         writer = open_result_cache(cache_dir)
         key = result_key("fp", 0, 1, 100, 7)
-        writer.put(key, 0.5)
+        writer.put_many([(key, 0.5)])
         writer.close()
+
+        def touched_elsewhere():
+            other = sqlite3.connect(sidecar_of(cache_dir))
+            try:
+                return other.execute("SELECT touched FROM results").fetchone()[0]
+            finally:
+                other.close()
+
         reader = open_result_cache(cache_dir)
         connection = counting(reader)
+        before = touched_elsewhere()
         assert reader.get(key) == 0.5
-        assert reader._pending_touches
-        reader.flush()
-        assert not reader._pending_touches
+        assert touched_elsewhere() == before  # the tick is still pending
+        reader.statistics()
+        assert touched_elsewhere() > before
         assert connection.commits == 1
         assert not reader.disabled  # still open and serving
         assert reader.get(key) == 0.5

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine.plan import BatchQuery, as_query, plan_queries
+from repro.core.estimators.base import BatchQuery, as_query
+from repro.engine.plan import plan_queries
 
 
 class TestAsQuery:

@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.estimators.base import BatchQuery
 from repro.engine import pool as pool_module
 from repro.engine.batch import BatchEngine
-from repro.engine.plan import BatchQuery
 from repro.engine.pool import (
     PoolClosedError,
     WorkerPool,

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.metrics import (
-    deviation_of,
-    relative_error,
-    relative_error_table,
-)
+from repro.experiments.metrics import deviation_of, relative_error
 
 
 class TestRelativeError:
@@ -38,18 +34,6 @@ class TestRelativeError:
 
 
 class TestRelativeErrorTable:
-    def test_per_estimator_errors(self):
-        reference = np.array([0.4, 0.4])
-        table = relative_error_table(
-            {
-                "mc": np.array([0.4, 0.4]),
-                "rss": np.array([0.44, 0.36]),
-            },
-            reference,
-        )
-        assert table["mc"] == 0.0
-        assert table["rss"] == pytest.approx(0.1)
-
     def test_deviation_of_table(self):
         table = {"a": 0.01, "b": 0.03}
         assert deviation_of(table) == pytest.approx(0.02)

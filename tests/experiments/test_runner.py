@@ -58,11 +58,6 @@ class TestStudyResult:
         assert len(rows) == 2
         assert float(rows[0]["time_conv_s"]) > 0
 
-    def test_memory_rows_shape(self, study_result):
-        rows = study_result.memory_rows()
-        assert len(rows) == 2
-        assert int(rows[0]["memory_bytes"]) > 0
-
     def test_dispersion_series_covers_grid(self, study_result):
         series = study_result.dispersion_series()
         assert [point["K"] for point in series["mc"]] == [100, 500]

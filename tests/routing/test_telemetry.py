@@ -40,12 +40,16 @@ class TestAccumulation:
             telemetry.observed("mc", fingerprint="fp", samples=100, max_hops=None)
             is None
         )
-        assert (
-            telemetry.observation_count(
-                "mc", fingerprint="fp", samples=100, max_hops=None
-            )
-            == 0
+        telemetry.record(
+            "mc",
+            fingerprint="fp",
+            samples=100,
+            max_hops=None,
+            seconds=0.01,
+            estimate=0.5,
         )
+        stats = telemetry.observed("mc", fingerprint="fp", samples=100, max_hops=None)
+        assert stats.count == 1
 
     def test_welford_matches_numpy(self):
         telemetry = QueryTelemetry()

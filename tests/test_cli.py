@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +67,23 @@ class TestEstimate:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_a_negative_seed_is_one_line_and_no_traceback(self):
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "estimate",
+                "--dataset", "lastfm", "--scale", "tiny",
+                "--source", "0", "--target", "5", "--seed", "-1",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "repro estimate: seed must be a non-negative integer, got -1"
+        ]
 
 
 class TestDatasets:
@@ -207,6 +226,30 @@ class TestStudy:
             main(self.STUDY + flags)
         assert failure.value.code == 2  # argparse: unrecognized arguments
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["batch", "--queries", "QUERIES"],
+        ["warm", "--queries", "QUERIES", "--cache-dir", "CACHE"],
+        ["topk", "--source", "0"],
+        ["bounds", "--source", "0", "--target", "5"],
+        ["serve", "--port", "0"],
+        ["study", "--pairs", "2", "--repeats", "2", "--kmax", "500"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_service_command_refuses_a_negative_seed(command, tmp_path):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("0 5 100\n")
+    paths = {"QUERIES": str(queries), "CACHE": str(tmp_path / "cache")}
+    argv = [paths.get(part, part) for part in command]
+    with pytest.raises(SystemExit) as failure:
+        main(argv + ["--dataset", "lastfm", "--scale", "tiny", "--seed", "-1"])
+    assert failure.value.code == (
+        f"repro {command[0]}: seed must be a non-negative integer, got -1"
+    )
 
 
 class TestParser:

@@ -12,6 +12,12 @@ from repro.engine.batch import BatchEngine
 from repro.util import bitset
 
 
+def get_bit(row, index):
+    """Bit ``index`` of one packed row: word ``index // 64``, LSB first."""
+    word, offset = divmod(index, bitset.WORD_BITS)
+    return bool((int(row[word]) >> offset) & 1)
+
+
 class TestPackedWords:
     @pytest.mark.parametrize(
         "bits,words", [(0, 0), (1, 1), (63, 1), (64, 1), (65, 2), (1500, 24)]
@@ -25,23 +31,16 @@ class TestPackedWords:
 
 
 class TestFullRow:
+    """``prefix_mask(n, packed_words(n))``: the fixpoints' source row."""
+
     @pytest.mark.parametrize("bits", [1, 7, 64, 65, 100, 128, 250])
     def test_popcount_equals_bits(self, bits):
-        assert bitset.popcount(bitset.full_row(bits)) == bits
+        row = bitset.prefix_mask(bits, bitset.packed_words(bits))
+        assert bitset.popcount(row) == bits
 
     def test_trailing_bits_are_zero(self):
-        row = bitset.full_row(70)
-        assert not bitset.get_bit(row, 70 % 64 + 64)
-
-
-class TestGetSetBit:
-    def test_roundtrip(self):
-        row = np.zeros(2, dtype=np.uint64)
-        for index in (0, 1, 63, 64, 127):
-            assert not bitset.get_bit(row, index)
-            bitset.set_bit(row, index)
-            assert bitset.get_bit(row, index)
-        assert bitset.popcount(row) == 5
+        row = bitset.prefix_mask(70, bitset.packed_words(70))
+        assert get_bit(row, 69) and not get_bit(row, 70)
 
 
 class TestSampleBitMatrix:
@@ -128,7 +127,7 @@ class TestPackBoolMatrix:
         assert packed.shape == (5, bitset.packed_words(70))
         for bit in range(70):
             for row in range(5):
-                assert bitset.get_bit(packed[row], bit) == masks[bit, row]
+                assert get_bit(packed[row], bit) == masks[bit, row]
 
     def test_matches_sample_bit_matrix_layout(self):
         # Packing externally-drawn booleans must land in the same layout
@@ -165,7 +164,7 @@ def assert_bits(packed, rows, bit_count, expected):
     for row in range(rows):
         for bit in range(packed.shape[1] * bitset.WORD_BITS):
             want = bit < bit_count and bool(expected(row, bit))
-            assert bitset.get_bit(packed[row], bit) == want, (row, bit)
+            assert get_bit(packed[row], bit) == want, (row, bit)
 
 
 class TestPackersAgainstGetBit:

@@ -1,4 +1,4 @@
-"""Tests for RNG plumbing: determinism, independence, distributions."""
+"""Tests for RNG plumbing: determinism and independence."""
 
 import itertools
 import json
@@ -8,14 +8,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.util.rng import (
-    ensure_generator,
-    geometric_skips,
-    spawn_generators,
-    stable_substream,
-)
+from repro.util.rng import ensure_generator, stable_substream
 
 
 class TestEnsureGenerator:
@@ -42,31 +36,6 @@ class TestEnsureGenerator:
         assert not np.array_equal(a, b)
 
 
-class TestSpawnGenerators:
-    def test_count(self):
-        assert len(spawn_generators(0, 7)) == 7
-
-    def test_zero_count(self):
-        assert spawn_generators(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-    def test_children_are_independent_and_deterministic(self):
-        first = [g.random(3) for g in spawn_generators(5, 3)]
-        second = [g.random(3) for g in spawn_generators(5, 3)]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(first[0], first[1])
-
-    def test_spawn_from_generator(self):
-        parent = np.random.default_rng(0)
-        children = spawn_generators(parent, 2)
-        assert len(children) == 2
-        assert not np.array_equal(children[0].random(3), children[1].random(3))
-
-
 class TestStableSubstream:
     def test_same_keys_same_stream(self):
         a = stable_substream(9, 1, 2, 3).random(4)
@@ -81,6 +50,38 @@ class TestStableSubstream:
     def test_key_order_matters(self):
         a = stable_substream(9, 1, 2).random(4)
         b = stable_substream(9, 2, 1).random(4)
+        assert not np.array_equal(a, b)
+
+    def test_no_keys_is_the_root_stream(self):
+        a = stable_substream(7).random(4)
+        b = np.random.default_rng(7).random(4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_seed_sequence_matches_int_seed(self):
+        a = stable_substream(np.random.SeedSequence(13), 4, 2).random(4)
+        b = stable_substream(13, 4, 2).random(4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_numpy_integer_keys_equal_python_keys(self):
+        a = stable_substream(5, np.int64(3), np.uint32(8)).random(4)
+        b = stable_substream(5, 3, 8).random(4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_seeds_past_int64_are_deterministic(self):
+        # The service accepts any non-negative seed; 2**63 and above
+        # must still name one stream each.
+        for seed in (2**63, 2**64 + 5):
+            a = stable_substream(seed, 1).random(4)
+            b = stable_substream(seed, 1).random(4)
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(
+            stable_substream(2**63, 1).random(4),
+            stable_substream(2**63 + 1, 1).random(4),
+        )
+
+    def test_none_seed_draws_fresh_entropy(self):
+        a = stable_substream(None, 1).random(4)
+        b = stable_substream(None, 1).random(4)
         assert not np.array_equal(a, b)
 
 
@@ -148,24 +149,3 @@ class TestSubstreamDerivation:
             np.testing.assert_array_equal(
                 np.asarray(values), stable_substream(seed, index).random(3)
             )
-
-
-class TestGeometricSkips:
-    def test_probability_one_always_zero(self):
-        skips = geometric_skips(np.random.default_rng(0), 1.0, 100)
-        assert (skips == 0).all()
-
-    def test_mean_matches_geometric(self):
-        # E[skips] = (1 - p) / p
-        p = 0.25
-        skips = geometric_skips(np.random.default_rng(0), p, 200_000)
-        assert abs(skips.mean() - (1 - p) / p) < 0.05
-
-    def test_support_is_nonnegative(self):
-        skips = geometric_skips(np.random.default_rng(1), 0.01, 10_000)
-        assert (skips >= 0).all()
-
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
-    def test_invalid_probability_rejected(self, bad):
-        with pytest.raises(ValueError):
-            geometric_skips(np.random.default_rng(0), bad, 10)

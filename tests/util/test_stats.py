@@ -1,64 +1,14 @@
-"""Tests for statistics helpers (variance, dispersion, bounds)."""
+"""Tests for statistics helpers (variance, dispersion, deviation)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.stats import (
-    RunningMoments,
     binomial_variance,
-    chernoff_sample_bound,
     dispersion_index,
-    mean_and_variance,
     pairwise_deviation,
 )
-
-
-class TestRunningMoments:
-    def test_empty_has_zero_variance(self):
-        moments = RunningMoments()
-        assert moments.count == 0
-        assert moments.variance == 0.0
-
-    def test_single_value(self):
-        moments = RunningMoments()
-        moments.add(4.2)
-        assert moments.mean == pytest.approx(4.2)
-        assert moments.variance == 0.0
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=2,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy(self, values):
-        moments = RunningMoments()
-        moments.extend(values)
-        array = np.asarray(values)
-        assert moments.mean == pytest.approx(float(array.mean()), abs=1e-6, rel=1e-9)
-        assert moments.variance == pytest.approx(
-            float(array.var(ddof=1)), abs=1e-5, rel=1e-6
-        )
-
-
-class TestMeanAndVariance:
-    def test_single_value(self):
-        mean, variance = mean_and_variance([3.0])
-        assert mean == 3.0
-        assert variance == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_and_variance([])
-
-    def test_known_values(self):
-        mean, variance = mean_and_variance([1.0, 2.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert variance == pytest.approx(1.0)
 
 
 class TestDispersionIndex:
@@ -81,36 +31,20 @@ class TestBinomialVariance:
         with pytest.raises(ValueError):
             binomial_variance(0.5, 0)
 
-
-class TestChernoffBound:
-    def test_monotone_in_reliability(self):
-        # Rarer events need more samples.
-        assert chernoff_sample_bound(0.01) > chernoff_sample_bound(0.5)
-
-    def test_monotone_in_epsilon(self):
-        assert chernoff_sample_bound(0.3, epsilon=0.05) > chernoff_sample_bound(
-            0.3, epsilon=0.2
+    def test_scales_as_one_over_samples(self):
+        assert binomial_variance(0.4, 1000) == pytest.approx(
+            binomial_variance(0.4, 10) / 100
         )
 
-    def test_paper_scale(self):
-        # For moderate reliability the bound lands in the thousands —
-        # consistent with the paper's "K in the order of thousands".
-        bound = chernoff_sample_bound(0.3, epsilon=0.1, failure=0.05)
-        assert 1_000 < bound < 10_000
+    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    @settings(max_examples=50, deadline=None)
+    def test_largest_at_one_half(self, reliability):
+        assert binomial_variance(reliability, 7) <= binomial_variance(0.5, 7)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"reliability": 0.0},
-            {"reliability": 1.5},
-            {"reliability": 0.5, "epsilon": 0.0},
-            {"reliability": 0.5, "failure": 0.0},
-            {"reliability": 0.5, "failure": 1.0},
-        ],
-    )
-    def test_invalid_arguments(self, kwargs):
-        with pytest.raises(ValueError):
-            chernoff_sample_bound(**kwargs)
+    def test_dispersion_of_mc_is_one_minus_r_over_k(self):
+        # rho_K of the MC estimator: R(1-R)/K divided by R.
+        variance = binomial_variance(0.2, 50)
+        assert dispersion_index(variance, 0.2) == pytest.approx(0.8 / 50)
 
 
 class TestPairwiseDeviation:
@@ -124,6 +58,12 @@ class TestPairwiseDeviation:
     def test_two_values(self):
         # Sum over ordered pairs |a-b| = 2 * 0.1; normalised by k(k-1) = 2.
         assert pairwise_deviation([0.1, 0.2]) == pytest.approx(0.1)
+
+    def test_order_of_estimators_does_not_matter(self):
+        errors = [0.05, 0.3, 0.01, 0.12]
+        assert pairwise_deviation(errors[::-1]) == pytest.approx(
+            pairwise_deviation(errors)
+        )
 
     def test_matches_paper_normalisation(self):
         # Six estimators: denominator 5 * 6 = 30 ordered pairs.
