@@ -554,7 +554,9 @@ class ReliabilityService:
         )
 
     def _cache_report(self) -> Optional[Dict[str, int]]:
-        return self._cache.statistics() if self.persistent else None
+        # Per reply, so the O(1) read: ``statistics()`` would commit
+        # pending recency and COUNT the sidecar on every cached answer.
+        return self._cache.counters() if self.persistent else None
 
     # ------------------------------------------------------------------
     # estimate / estimate_batch
@@ -1040,9 +1042,9 @@ class ReliabilityService:
     def rewarm(self, limit: int = DEFAULT_REWARM_TOP) -> Dict[str, int]:
         """Replay the hottest logged keys into the (current) result cache.
 
-        The background half of the update lifecycle: after a version
-        swap the successor's cache starts cold, so ``repro serve`` calls
-        this from a worker thread to re-evaluate the top ``limit``
+        The second half of the update lifecycle: after a version swap
+        the successor's cache starts cold, so ``repro serve`` calls this
+        before it answers the update, re-evaluating the top ``limit``
         logged keys against the new graph.  Keys are grouped by seed —
         one :meth:`warm` pass per seed group — because the seed is part
         of the cache identity a replay must reproduce exactly.

@@ -496,6 +496,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_datasets(args: argparse.Namespace) -> int:
+    # The one command that opens no service, so it checks the seed the
+    # service would have refused before numpy's seeding does.
+    if args.seed < 0:
+        raise SystemExit(
+            f"repro datasets: seed must be a non-negative integer, got {args.seed}"
+        )
     rows = dataset_table(args.scale, args.seed)
     print(
         format_dict_rows(

@@ -49,11 +49,13 @@ Write batching — two different knobs, one transaction discipline:
 * Disk-hit recency (the ``touched`` tick that orders the disk LRU) is
   *deferred*: hits accumulate in memory and flush every
   :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits, on any write, on
-  ``statistics()``, and on ``close()`` — instead of paying one
-  UPDATE+commit per hit.  Recency may therefore lag the truth by at most
-  :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits (and another process sees it
-  only after a flush), which can never change a served value — only
-  disk-LRU eviction order.
+  ``statistics()`` (the ``/v1/stats`` report), and on ``close()`` —
+  instead of paying one UPDATE+commit per hit.  Recency may therefore
+  lag the truth by at most :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits (and
+  another process sees it only after a flush), which can never change
+  a served value — only disk-LRU eviction order.  The per-reply report,
+  :meth:`PersistentResultCache.counters`, flushes nothing, so a reply
+  served from cache commits nothing.
 """
 
 from __future__ import annotations
@@ -285,8 +287,9 @@ class PersistentResultCache(ResultCache):
     activity, which is what governs warm starts.  Disk-hit ticks are
     *batched*: they accumulate in memory and flush in one transaction
     every :data:`DEFAULT_TOUCH_FLUSH_EVERY` hits (and on every write,
-    ``statistics()``, and ``close()``), so a read-heavy serving workload
-    pays one fsync per batch instead of one per hit.  Pending ticks are
+    ``statistics()``, and ``close()`` — not on :meth:`counters`, which
+    every served reply reads), so a read-heavy serving workload pays one
+    fsync per batch instead of one per hit.  Pending ticks are
     always applied before eviction runs, so deferral never evicts a
     just-hit row.
     Seeds are stored as TEXT because engine seeds span the full unsigned
@@ -309,11 +312,13 @@ class PersistentResultCache(ResultCache):
         #: Deferred disk-hit recency updates: key -> latest tick.  A dict
         #: (not a list) so a key hit twice between flushes costs one row.
         self._pending_touches: Dict[ResultKey, int] = {}  # guarded-by: _lock
-        #: Upper bound on the sidecar's row count, maintained locally so
-        #: eviction does not pay a full-table COUNT per write: +1 per
-        #: insert (REPLACEs overcount, which is safe), re-synced with the
-        #: true count whenever the bound crosses ``disk_capacity``.
-        self._row_bound = 0  # guarded-by: _lock
+        #: The sidecar's row count as this process wrote it, so neither
+        #: eviction nor the per-reply report pays a full-table COUNT:
+        #: counted at open, +1 per row an INSERT adds, minus each
+        #: eviction's deleted rows.  Recounted by ``statistics()`` and
+        #: whenever it crosses ``disk_capacity``, which also picks up
+        #: rows other processes wrote.
+        self._row_count = 0  # guarded-by: _lock
         self._connection: Optional[sqlite3.Connection] = None  # guarded-by: _lock
         self._open()
 
@@ -361,7 +366,7 @@ class PersistentResultCache(ResultCache):
             connection.close()
             raise
         self._tick = int(row[0])
-        self._row_bound = int(count[0])
+        self._row_count = int(count[0])
         return connection
 
     def _quarantine(self) -> None:
@@ -380,6 +385,7 @@ class PersistentResultCache(ResultCache):
                 pass
             self._connection = None
         self._pending_touches.clear()
+        self._row_count = 0
 
     def close(self) -> None:
         """Flush deferred recency, then release the SQLite connection.
@@ -488,39 +494,44 @@ class PersistentResultCache(ResultCache):
             self._flush_touches_locked(commit=False)
             if self._connection is None:  # the flush hit an error
                 return
-            inserted = 0
             for key, value in rows:
                 fingerprint, source, target, samples, seed, max_hops = key
                 self._tick += 1
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?, "
-                    "?, ?, ?)",
-                    (
-                        fingerprint, source, target, samples, str(seed),
-                        max_hops, value, self._tick,
-                    ),
+                where = (
+                    fingerprint, source, target, samples, str(seed), max_hops,
                 )
-                inserted += 1
-            # REPLACEs overcount the bound; the resync below fixes it.
-            self._row_bound += inserted
-            if self._row_bound > self.disk_capacity:
-                overflow = self._disk_size_locked() - self.disk_capacity
+                # The insert's rowcount says whether the table grew; a
+                # key already on disk is rewritten in place instead.
+                if self._connection.execute(
+                    "INSERT OR IGNORE INTO results VALUES (?, ?, ?, ?, ?, "
+                    "?, ?, ?)",
+                    (*where, value, self._tick),
+                ).rowcount:
+                    self._row_count += 1
+                else:
+                    self._connection.execute(
+                        "UPDATE results SET value = ?, touched = ? WHERE "
+                        "fingerprint = ? AND source = ? AND target = ? AND "
+                        "samples = ? AND seed = ? AND max_hops = ?",
+                        (value, self._tick, *where),
+                    )
+            if self._row_count > self.disk_capacity:
+                overflow = self._recount_locked() - self.disk_capacity
                 if self._connection is None:  # the COUNT hit an error
                     return
                 if overflow > 0:
-                    self._connection.execute(
+                    self._row_count -= self._connection.execute(
                         "DELETE FROM results WHERE rowid IN (SELECT rowid "
                         "FROM results ORDER BY touched ASC, rowid ASC "
                         "LIMIT ?)",
                         (overflow,),
-                    )
-                    self._row_bound = self.disk_capacity
+                    ).rowcount
             self._connection.commit()
         except sqlite3.Error:
             self._disable_locked()
 
-    def _disk_size_locked(self) -> int:
-        """True sidecar row count (one COUNT; also resyncs the bound)."""
+    def _recount_locked(self) -> int:
+        """True sidecar row count (one COUNT; also resyncs ``_row_count``)."""
         if self._connection is None:
             return 0
         try:
@@ -531,26 +542,44 @@ class PersistentResultCache(ResultCache):
         except sqlite3.Error:
             self._disable_locked()
             return 0
-        self._row_bound = count
+        self._row_count = count
         return count
 
-    def statistics(self) -> Dict[str, int]:
-        """Base counters plus the sidecar's size, hits, and health."""
+    def counters(self) -> Dict[str, int]:
+        """The :meth:`statistics` fields in O(1): no flush, no COUNT.
+
+        Every served reply reads these.  ``disk_size`` is this process's
+        exact row count, which in a single process equals the table's;
+        rows another process wrote show up at the next
+        :meth:`statistics`.
+        """
         with self._lock:
-            # Reporting is a natural flush point: cheap, rare, and it
-            # keeps cross-process recency from lagging indefinitely on
-            # read-only workloads.
+            return self._counters_locked()
+
+    def statistics(self) -> Dict[str, int]:
+        """Base counters plus the sidecar's size, hits, and health.
+
+        The operator's report (``/v1/stats``): it flushes pending
+        recency, so cross-process recency cannot lag indefinitely on
+        read-only workloads, and recounts the table, so ``disk_size``
+        includes other processes' rows.
+        """
+        with self._lock:
             self._flush_touches_locked(commit=True)
-            stats = self._statistics_locked()
-            stats.update(
-                {
-                    "disk_hits": self.disk_hits,
-                    "disk_size": self._disk_size_locked(),
-                    "disk_capacity": self.disk_capacity,
-                    "persistent": not self.disabled,
-                }
-            )
-            return stats
+            self._recount_locked()
+            return self._counters_locked()
+
+    def _counters_locked(self) -> Dict[str, int]:
+        stats = self._statistics_locked()
+        stats.update(
+            {
+                "disk_hits": self.disk_hits,
+                "disk_size": self._row_count,
+                "disk_capacity": self.disk_capacity,
+                "persistent": not self.disabled,
+            }
+        )
+        return stats
 
 
 def open_result_cache(cache_dir: Union[str, Path]) -> PersistentResultCache:

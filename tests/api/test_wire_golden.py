@@ -228,7 +228,7 @@ def replay():
     documents = {}
     default_chunk_size = service_module.DEFAULT_CHUNK_SIZE
     rewarm_top = server_module.DEFAULT_REWARM_TOP
-    # The update case must not race a background re-warm.
+    # The update case must not re-warm: later cases count misses.
     server_module.DEFAULT_REWARM_TOP = 0
     try:
         for name, _verb, target, body in CASES + ERRORS:

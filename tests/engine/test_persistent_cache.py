@@ -254,8 +254,8 @@ class TestDiskEviction:
         self, cache_dir, monkeypatch
     ):
         monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 4)
-        # The row bound overcounts REPLACEs; the resync on overflow must
-        # recognise that the table never actually grew.
+        # Rewriting a key already on disk must not count as a new row,
+        # or eviction would fire on a table that never grew.
         cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
         key = result_key("fp", 0, 1, 100, 7)
         for round_number in range(20):
@@ -269,7 +269,7 @@ class TestDiskEviction:
             first.put_many([(result_key("fp", 0, target, 100, 7), 0.5)])
         first.close()
         second = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
-        assert second._row_bound == 5
+        assert second._row_count == 5
 
     def test_least_recently_touched_rows_evicted_first(self, cache_dir, monkeypatch):
         monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 3)
@@ -287,6 +287,95 @@ class TestDiskEviction:
         survivor = open_result_cache(cache_dir)
         assert survivor.get(keys[0]) == 0.0
         assert survivor.get(keys[1]) is None
+
+
+def counted_on_disk(cache_dir):
+    """``SELECT COUNT(*)`` through a second SQLite connection."""
+    other = sqlite3.connect(sidecar_of(cache_dir))
+    try:
+        return other.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+    finally:
+        other.close()
+
+
+class TestExactRowCount:
+    """``counters()["disk_size"]`` is kept exact without a COUNT."""
+
+    def test_rewriting_a_key_adds_no_row(self, cache_dir):
+        cache = open_result_cache(cache_dir)
+        keys = [result_key("fp", 0, target, 100, 7) for target in range(3)]
+        cache.put_many((key, 0.25) for key in keys)
+        cache.put_many([(keys[1], 0.5), (result_key("fp", 0, 9, 100, 7), 0.5)])
+        assert cache.counters()["disk_size"] == counted_on_disk(cache_dir) == 4
+        cache.close()
+        assert open_result_cache(cache_dir).get(keys[1]) == 0.5
+
+    def test_eviction_subtracts_the_deleted_rows(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(cache_module, "DEFAULT_DISK_CAPACITY", 4)
+        cache = PersistentResultCache(sidecar_of(cache_dir), capacity=64)
+        for target in range(10):
+            cache.put_many([(result_key("fp", 0, target, 100, 7), 0.5)])
+            assert cache.counters()["disk_size"] == counted_on_disk(cache_dir)
+        cache.put_many(
+            (result_key("fp", 1, target, 100, 7), 0.5) for target in range(7)
+        )
+        assert cache.counters()["disk_size"] == counted_on_disk(cache_dir) == 4
+
+    def test_statistics_counts_another_writers_rows(self, cache_dir):
+        cache = open_result_cache(cache_dir)
+        cache.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
+        other = open_result_cache(cache_dir)
+        other.put_many(
+            (result_key("fp", 2, target, 100, 7), 0.5) for target in range(3)
+        )
+        other.close()
+        # The O(1) report knows only this process's writes ...
+        assert cache.counters()["disk_size"] == 1
+        # ... statistics() recounts the file, and the report follows it.
+        assert cache.statistics()["disk_size"] == counted_on_disk(cache_dir) == 4
+        assert cache.counters()["disk_size"] == 4
+        cache.put_many([(result_key("fp", 0, 2, 100, 7), 0.5)])
+        assert cache.counters()["disk_size"] == counted_on_disk(cache_dir) == 5
+
+    def test_a_disabled_sidecar_reports_no_rows(self, cache_dir):
+        cache = open_result_cache(cache_dir)
+        cache.put_many([(result_key("fp", 0, 1, 100, 7), 0.5)])
+        cache.close()
+        assert cache.counters()["disk_size"] == 0
+        assert cache.counters()["persistent"] is False
+
+
+class TestCountersReport:
+    """The per-reply report: the statistics() fields, with no SQL at all."""
+
+    def test_counters_equal_statistics_in_one_process(self, cache_dir):
+        writer = open_result_cache(cache_dir)
+        keys = [result_key("fp", 0, target, 100, 7) for target in range(4)]
+        writer.put_many((key, 0.5) for key in keys[:3])
+        writer.close()
+        cache = open_result_cache(cache_dir)
+        for key in keys:
+            cache.get(key)  # three disk hits and a miss
+        cache.put_many([(keys[3], 0.5)])
+        cache.get(keys[0])  # a memory hit
+        assert cache.counters() == cache.statistics()
+
+    def test_counters_issue_no_statement(self, cache_dir):
+        writer = open_result_cache(cache_dir)
+        key = result_key("fp", 0, 1, 100, 7)
+        writer.put_many([(key, 0.5)])
+        writer.close()
+        reader = open_result_cache(cache_dir)
+        assert reader.get(key) == 0.5  # a deferred disk-hit tick
+        statements = []
+        reader._connection.set_trace_callback(statements.append)
+        report = reader.counters()
+        assert statements == []
+        assert report["disk_hits"] == 1
+        assert reader._pending_touches  # still deferred
+        reader.statistics()
+        assert "COMMIT" in statements
+        assert not reader._pending_touches
 
 
 class TestEngineIntegration:

@@ -93,6 +93,22 @@ class TestDatasets:
         assert "LastFM" in out
         assert "BioMine" in out
 
+    def test_a_negative_seed_is_one_line_and_no_traceback(self):
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "datasets",
+                "--scale", "tiny", "--seed", "-1",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "repro datasets: seed must be a non-negative integer, got -1"
+        ]
+
 
 class TestTopK:
     def test_ranking(self, capsys):
